@@ -11,36 +11,24 @@ from pathlib import Path
 
 import totalprime as tp
 
-GALLERY = [
-    ("helm_4", lambda: tp.helm(4)),
-    ("cycle_9_chord_5", lambda: tp.cycle_with_chord(9, 5)),
-    ("snake_5x3", lambda: tp.snake(5, 3)),
-    ("book_5x3", lambda: tp.book(5, 3)),
-    ("complete_6", lambda: tp.complete(6)),
-    ("windmill_4x3", lambda: tp.windmill(4, 3)),
-    ("prism_12", lambda: tp.prism(12)),
-    ("rect_stack_4", lambda: tp.stacked_rect_prism(4)),
-    ("bistar_4x5", lambda: tp.bistar(4, 5)),
-]
 
-
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-dir", default="gallery")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    for name, build in GALLERY:
-        result = build()
+    for inst in tp.GALLERY:
+        result = tp.construct(inst.spec, inst.scheme)
         report = tp.verify_total_prime(result.graph, result.labeling)
         status = "ok" if report.valid else "INVALID"
         if not report.valid:
             failures += 1
-        path = out_dir / f"{name}.dot"
-        path.write_text(tp.to_dot(result.graph, result.labeling, name=name))
-        print(f"{name:<18} {result.graph.n:>3} vertices {result.graph.m:>3} edges  {status}  -> {path}")
+        path = out_dir / f"{inst.name}.dot"
+        path.write_text(tp.to_dot(result.graph, result.labeling, name=inst.name))
+        print(f"{inst.name:<18} {result.graph.n:>3} vertices {result.graph.m:>3} edges  {status}  -> {path}")
     return 0 if failures == 0 else 1
 
 

@@ -1,89 +1,34 @@
 #!/usr/bin/env python3
-"""Sweep every constructor over a parameter grid, verify each labeling, and
+"""Sweep every constructor over the soundness grid, verify each labeling, and
 print per-family instance counts and timings.
 
 Usage:
-    python scripts/run_constructor_grid.py [--scale small|full]
+    python scripts/run_constructor_grid.py
 """
 
-import argparse
 import sys
 import time
+from itertools import groupby
 
 import totalprime as tp
 
 
-def sweep(name, instances):
-    started = time.perf_counter()
-    count = 0
-    bad = 0
-    for result in instances:
-        report = tp.verify_total_prime(result.graph, result.labeling)
-        if not report.valid:
-            bad += 1
-            print(f"  VIOLATION in {name}: {report.violations[:3]}")
-        count += 1
-    elapsed = time.perf_counter() - started
-    print(f"{name:<22} {count:>6} instances  {bad} violations  {elapsed:6.2f}s")
-    return bad
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", choices=("small", "full"), default="full")
-    args = parser.parse_args()
-    big = args.scale == "full"
-
-    helm_max = 200 if big else 30
-    cc_max = 200 if big else 30
-    prism_max = 300 if big else 40
-    stack_max = 200 if big else 40
-    complete_max = 60 if big else 20
-    windmill_max = 40 if big else 10
-    bistar_max = 40 if big else 10
-
     failures = 0
-    failures += sweep("helm", (tp.helm(n) for n in range(3, helm_max + 1)))
-    failures += sweep(
-        "cycle_with_chord",
-        (
-            tp.cycle_with_chord(n, k)
-            for n in range(4, cc_max + 1)
-            for k in range(3, n)
-        ),
-    )
-    failures += sweep(
-        "snake", (tp.snake(k, n) for k in range(3, 13) for n in range(2, 13))
-    )
-    failures += sweep(
-        "book", (tp.book(k, n) for k in range(3, 12) for n in range(2, 12))
-    )
-    failures += sweep("complete", (tp.complete(n) for n in range(4, complete_max + 1)))
-    failures += sweep(
-        "windmill(pair)",
-        (tp.windmill(n, 2, scheme="pair") for n in range(4, windmill_max + 1)),
-    )
-    failures += sweep(
-        "windmill(fixed)",
-        (
-            tp.windmill(n, m)
-            for n in (4, 5, 6)
-            for m in range(2, windmill_max + 1)
-        ),
-    )
-    failures += sweep("prism", (tp.prism(n) for n in range(3, prism_max + 1)))
-    failures += sweep(
-        "stacked_rect_prism",
-        (tp.stacked_rect_prism(n) for n in range(2, stack_max + 1)),
-    )
-    failures += sweep(
-        "bistar",
-        (
-            tp.bistar(m, n)
-            for m in range(1, bistar_max + 1)
-            for n in range(1, bistar_max + 1)
-        ),
-    )
+    for family, instances in groupby(tp.soundness_grid(), lambda inst: inst.spec.family):
+        started = time.perf_counter()
+        count = 0
+        bad = 0
+        for inst in instances:
+            result = tp.construct(inst.spec, inst.scheme)
+            report = tp.verify_total_prime(result.graph, result.labeling)
+            if not report.valid:
+                bad += 1
+                print(f"  VIOLATION in {inst.name}: {report.violations[:3]}")
+            count += 1
+        elapsed = time.perf_counter() - started
+        print(f"{family:<22} {count:>6} instances  {bad} violations  {elapsed:6.2f}s")
+        failures += bad
     print("grid clean" if failures == 0 else f"{failures} violations")
     return 0 if failures == 0 else 1
 

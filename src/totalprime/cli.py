@@ -10,53 +10,22 @@ Subcommands:
   export     render graph(+labeling) JSON as Graphviz DOT
 
 Exit codes: 0 success, 1 verification/bound failure or nothing found,
-2 usage or parameter errors, 3 I/O errors.
+2 usage errors, bad parameters or malformed input documents, 3 files that
+cannot be read or decoded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
 from . import constructors, numtheory
 from . import search as search_mod
-from .errors import (
-    BoundTooSmallError,
-    BoundViolatedError,
-    InvalidHamiltonianDataError,
-    InvalidParameterError,
-    MalformedTreeError,
-    NoCanonicalCycleError,
-    NoPrimeError,
-    NotATreeError,
-    NotCoprimeError,
-    NotFoundWithinBoundError,
-    NotPrimeLabelingError,
-    SieveLimitError,
-    SizeMismatchError,
-    UnsupportedCaseError,
-)
-from .graphs import FamilySpec, Graph, to_dot
+from .errors import InvalidParameterError, NotFoundWithinBoundError, TotalPrimeError
+from .graphs import FamilySpec, Graph, build_family, to_dot
 from .labeling import Labeling, verify_total_prime
-
-_USAGE_ERRORS = (
-    InvalidParameterError,
-    UnsupportedCaseError,
-    MalformedTreeError,
-    NoCanonicalCycleError,
-    NoPrimeError,
-    BoundTooSmallError,
-    BoundViolatedError,
-    NotATreeError,
-    NotCoprimeError,
-    NotPrimeLabelingError,
-    InvalidHamiltonianDataError,
-    SizeMismatchError,
-    SieveLimitError,
-)
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
@@ -64,15 +33,23 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     if family == "union":
         if not args.cycles:
             raise InvalidParameterError("union needs --cycles, e.g. --cycles 3,4")
-        members = tuple(
-            FamilySpec("cycle", n=int(c)) for c in args.cycles.split(",") if c
-        )
-        return FamilySpec("union", members=members)
+        try:
+            lengths = [int(c) for c in args.cycles.split(",") if c]
+        except ValueError:
+            raise InvalidParameterError(
+                f"--cycles must be a comma list of integers, got {args.cycles!r}"
+            ) from None
+        return FamilySpec("union", members=tuple(FamilySpec("cycle", n=c) for c in lengths))
     if family == "tree":
         if not args.edges:
             raise InvalidParameterError('tree needs --edges, e.g. --edges "[[0,1],[1,2]]"')
-        edges = tuple(tuple(e) for e in json.loads(args.edges))
-        return FamilySpec("tree", n=args.n, edges=edges)
+        try:
+            edges = json.loads(args.edges)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"--edges is not JSON: {exc}") from None
+        if not isinstance(edges, list):
+            raise InvalidParameterError(f"--edges must be a JSON list, got {edges!r}")
+        return FamilySpec("tree", n=args.n, edges=tuple(edges))
     if family == "cycle_chord":
         return FamilySpec("cycle_chord", n=args.n, k=args.chord or 3)
     return FamilySpec(family, n=args.n, m=args.m, k=args.k)
@@ -81,19 +58,18 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
 def _graph_from_args(args: argparse.Namespace) -> Graph:
     if getattr(args, "infile", None):
         data = _read_json(args.infile)
-        if "graph" in data:
-            data = data["graph"]
-        return Graph.from_json_dict(data)
+        return Graph.from_json_dict(data.get("graph", data))
     if not args.family:
         raise InvalidParameterError("need --family or --in")
-    from .graphs import build_family
-
     return build_family(_spec_from_args(args))
 
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -128,31 +104,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-_LABELERS = {
-    "helm": lambda a: constructors.helm(a.n),
-    "cycle_chord": lambda a: constructors.cycle_with_chord(a.n, a.chord or 3),
-    "snake": lambda a: constructors.snake(a.k, a.n),
-    "book": lambda a: constructors.book(a.k, a.n),
-    "complete": lambda a: constructors.complete(a.n),
-    "windmill": lambda a: constructors.windmill(a.n, a.m),
-    "prism": lambda a: constructors.prism(a.n),
-    "bistar": lambda a: constructors.bistar(a.m, a.n),
-}
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
-    family = args.family.replace("-", "_")
-    if family == "stacked_prism":
-        if args.m != 4:
-            raise UnsupportedCaseError(
-                "direct labelings cover stacked-prism -m 4 only; use mcn + search"
-            )
-        result = constructors.stacked_rect_prism(args.n)
-    elif family == "friendship":
+    spec = _spec_from_args(args)
+    if spec.family == "friendship":
         # no fixed scheme for triangle windmills; search finds one directly
-        from .graphs import build_family
-
-        graph = build_family(FamilySpec("friendship", m=args.m))
+        graph = build_family(spec)
         outcome = search_mod.find_total_prime(graph, _search_config(args))
         if outcome.status != search_mod.FOUND:
             print(f"search failed: {outcome.status}", file=sys.stderr)
@@ -160,10 +116,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
         result = constructors.ConstructionResult(
             graph, outcome.labeling, {"via": "search"}
         )
-    elif family in _LABELERS:
-        result = _LABELERS[family](args)
     else:
-        raise UnsupportedCaseError(f"no direct labeling for family {args.family!r}")
+        result = constructors.construct(spec)
     payload = {
         "graph": result.graph.to_json_dict(),
         "labeling": result.labeling.to_json_dict(),
@@ -175,8 +129,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_json(args.infile)
-    graph = Graph.from_json_dict(data["graph"])
-    labeling = Labeling.from_json_dict(data["labeling"])
+    graph = Graph.from_json_dict(data.get("graph"))
+    labeling = Labeling.from_json_dict(data.get("labeling"))
     report = verify_total_prime(graph, labeling)
     _emit_json(args, report.to_json_dict())
     return 0 if report.valid else 1
@@ -216,22 +170,7 @@ def _cmd_mcn(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     capacity = numtheory.check_label_capacity_bounds(args.n_max)
-    table = numtheory.shared_table()
-    table.ensure_limit(args.pi_limit)
-    pi_ok = True
-    bertrand_ok = True
-    count = 0
-    last_prime = 0
-    for x in range(2, args.pi_limit + 1):
-        if table.flags[x]:
-            count += 1
-            last_prime = x
-        if x >= 17 and count <= x / math.log(x):
-            pi_ok = False
-            break
-        if x >= 4 and last_prime * 2 <= x:
-            bertrand_ok = False
-            break
+    pi_ok, bertrand_ok = numtheory.check_prime_counting_bounds(args.pi_limit)
     payload = {
         "capacity_ok": capacity.ok,
         "capacity_failure": list(capacity.failure) if capacity.failure else None,
@@ -246,14 +185,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     data = _read_json(args.infile)
-    if "graph" in data:
-        graph = Graph.from_json_dict(data["graph"])
-        labeling = (
-            Labeling.from_json_dict(data["labeling"]) if "labeling" in data else None
-        )
-    else:
-        graph = Graph.from_json_dict(data)
-        labeling = None
+    graph = Graph.from_json_dict(data.get("graph", data))
+    labeling = Labeling.from_json_dict(data["labeling"]) if "labeling" in data else None
     if args.format == "json":
         payload = {"graph": graph.to_json_dict()}
         if labeling is not None:
@@ -342,13 +275,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except TotalPrimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TypeError:
-        print("error: missing a required parameter for this family", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

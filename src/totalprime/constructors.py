@@ -9,13 +9,18 @@ they are assigned in ascending order over the canonical edge order, so
 results are fully deterministic and snapshot-testable.  ``notes`` records the
 construction-time choices (chord position, swap applied, prime used, values
 skipped) so callers can assert against them.
+
+The registry at the end of the module is the one map from family to
+construction: ``construct`` labels a FamilySpec, ``soundness_grid`` yields the
+parameter grid every constructor is verified over, and ``GALLERY`` lists the
+showcase instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import numtheory
 from .errors import (
@@ -31,6 +36,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     HamiltonianData,
+    _need,
     build_family,
     validate_hamiltonian,
 )
@@ -64,8 +70,6 @@ def _fill_leftovers(g: Graph, labeling: Labeling) -> list[int]:
 def helm(rim: int) -> ConstructionResult:
     """Hub gets 1; rim/pendant pairs get consecutive or consecutive-odd
     values; every rim vertex sees a consecutive pair of edge labels."""
-    if rim < 3:
-        raise InvalidParameterError("helm needs a rim of at least 3")
     n = rim
     g = build_family(FamilySpec("helm", n=n))
     vl = [0] * g.n
@@ -93,10 +97,6 @@ def cycle_with_chord(cycle_len: int, chord: int = 3) -> ConstructionResult:
     satisfy 2 < chord < n.
     """
     n, k = cycle_len, chord
-    if n < 4:
-        raise InvalidParameterError("cycle with chord needs at least 4 vertices")
-    if not 2 < k < n:
-        raise InvalidParameterError("chord must join non-adjacent vertices")
     g = build_family(FamilySpec("cycle_chord", n=n, k=k))
     vl = list(range(1, n + 1))
     el: dict[Edge, int] = {}
@@ -178,8 +178,6 @@ def snake(cycle_len: int, cycles: int) -> ConstructionResult:
     the chain, edges ring by ring with the last ring reversed so the final
     path vertex still sees consecutive edge labels."""
     k, n = cycle_len, cycles
-    if k < 3:
-        raise InvalidParameterError("snake rings need length at least 3")
     if n < 2:
         raise InvalidParameterError("a single ring is a plain cycle; need >= 2")
     g = build_family(FamilySpec("snake", k=k, n=n))
@@ -239,10 +237,6 @@ def book(page_len: int, pages: int) -> ConstructionResult:
     on whether 3 divides p+1) and the spine takes the skipped non-prime.
     """
     k, n = page_len, pages
-    if k < 3:
-        raise InvalidParameterError("pages need length at least 3")
-    if n < 2:
-        raise InvalidParameterError("need at least two pages")
     if n == 2:
         return _book_as_cycle_with_chord(k)
     g = build_family(FamilySpec("book", k=k, n=n))
@@ -426,8 +420,6 @@ def prism(cycle_len: int) -> ConstructionResult:
     junction between blocks one and two would lose coprimality.
     """
     n = cycle_len
-    if n < 3:
-        raise InvalidParameterError("prism needs a cycle of at least 3")
     g = build_family(FamilySpec("prism", n=n))
     vl = [0] * (2 * n)
     for i in range(1, n + 1):
@@ -490,8 +482,6 @@ def bistar(left: int, right: int) -> ConstructionResult:
     """Two star centers joined by an edge: odd labels go to the left star's
     edges and the bridge, even labels pair each leaf with its edge."""
     m, n = left, right
-    if m < 1 or n < 1:
-        raise InvalidParameterError("both stars need at least one leaf")
     g = build_family(FamilySpec("bistar", m=m, n=n))
     vl = [0] * g.n
     vl[0], vl[1] = 1, 2
@@ -575,3 +565,95 @@ def extend_prime_tree(tree: Graph, prime_labels: Labeling) -> ConstructionResult
     )
     _fill_leftovers(tree, result.labeling)
     return result
+
+
+def _stacked_prism(spec: FamilySpec) -> ConstructionResult:
+    if spec.m != 4:
+        raise UnsupportedCaseError(
+            "direct labelings cover stacked prisms with m = 4 only; use mcn + search"
+        )
+    return stacked_rect_prism(_need(spec, "n", 2))
+
+
+# Constructors whose parameter range is the graph family's pass the spec's
+# values straight through: build_family checks them before any label is set.
+_CONSTRUCTIONS: dict[str, Callable[[FamilySpec], ConstructionResult]] = {
+    "helm": lambda s: helm(s.n),
+    "cycle_chord": lambda s: cycle_with_chord(s.n, 3 if s.k is None else s.k),
+    "snake": lambda s: snake(s.k, _need(s, "n", 2)),
+    "book": lambda s: book(s.k, s.n),
+    "complete": lambda s: complete(_need(s, "n", 4)),
+    "windmill": lambda s, scheme=None: windmill(_need(s, "n", 3), _need(s, "m", 1), scheme),
+    "prism": lambda s: prism(s.n),
+    "stacked_prism": _stacked_prism,
+    "bistar": lambda s: bistar(s.m, s.n),
+}
+
+
+def construct(spec: FamilySpec, scheme: Optional[str] = None) -> ConstructionResult:
+    """The explicit total prime labeling of a family instance.
+
+    ``scheme`` forces one of the windmill constructions (see ``windmill``);
+    every other family has a single construction.  Raises
+    UnsupportedCaseError for families without one and InvalidParameterError,
+    naming the parameter, for missing or too-small parameters.
+    """
+    make = _CONSTRUCTIONS.get(spec.family)
+    if make is None:
+        raise UnsupportedCaseError(f"no direct labeling for family {spec.family!r}")
+    if scheme is None:
+        return make(spec)
+    if spec.family != "windmill":
+        raise InvalidParameterError(f"{spec.family} has no construction schemes")
+    return make(spec, scheme)
+
+
+class Instance(NamedTuple):
+    """A named registry instance; ``construct(spec, scheme)`` labels it and
+    ``build_family(spec)`` builds just its graph."""
+
+    name: str
+    spec: FamilySpec
+    scheme: Optional[str] = None
+
+
+def soundness_grid() -> Iterator[Instance]:
+    """Every constructor over its parameter grid: 22,200 instances."""
+    for n in range(3, 201):
+        yield Instance(f"helm {n}", FamilySpec("helm", n=n))
+    for n in range(4, 201):
+        for k in range(3, n):
+            yield Instance(f"cycle_chord {n} k={k}", FamilySpec("cycle_chord", n=n, k=k))
+    for k in range(3, 13):
+        for n in range(2, 13):
+            yield Instance(f"snake {k}x{n}", FamilySpec("snake", k=k, n=n))
+    for k in range(3, 12):
+        for n in range(3, 12):
+            yield Instance(f"book {k}x{n}", FamilySpec("book", k=k, n=n))
+    for n in range(4, 61):
+        yield Instance(f"complete {n}", FamilySpec("complete", n=n))
+    for n in range(4, 41):
+        yield Instance(f"windmill pair {n}", FamilySpec("windmill", n=n, m=2), "pair")
+    for n in (4, 5, 6):
+        for m in range(2, 41):
+            yield Instance(f"windmill {n}x{m}", FamilySpec("windmill", n=n, m=m))
+    for n in range(3, 301):
+        yield Instance(f"prism {n}", FamilySpec("prism", n=n))
+    for n in range(2, 201):
+        yield Instance(f"rect stack {n}", FamilySpec("stacked_prism", m=4, n=n))
+    for m in range(1, 41):
+        for n in range(1, 41):
+            yield Instance(f"bistar {m}x{n}", FamilySpec("bistar", m=m, n=n))
+
+
+GALLERY = (
+    Instance("helm_4", FamilySpec("helm", n=4)),
+    Instance("cycle_9_chord_5", FamilySpec("cycle_chord", n=9, k=5)),
+    Instance("snake_5x3", FamilySpec("snake", k=5, n=3)),
+    Instance("book_5x3", FamilySpec("book", k=5, n=3)),
+    Instance("complete_6", FamilySpec("complete", n=6)),
+    Instance("windmill_4x3", FamilySpec("windmill", n=4, m=3)),
+    Instance("prism_12", FamilySpec("prism", n=12)),
+    Instance("rect_stack_4", FamilySpec("stacked_prism", m=4, n=4)),
+    Instance("bistar_4x5", FamilySpec("bistar", m=4, n=5)),
+)

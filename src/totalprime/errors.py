@@ -1,61 +1,65 @@
 """Exception types shared across the package."""
 
 
-class InvalidParameterError(ValueError):
+class TotalPrimeError(Exception):
+    """Base of every error the package raises for input it cannot accept."""
+
+
+class InvalidParameterError(TotalPrimeError, ValueError):
     """Family or construction parameters outside their validity range."""
 
 
-class MalformedTreeError(ValueError):
+class MalformedTreeError(TotalPrimeError, ValueError):
     """Edge list supplied for a tree does not describe a tree."""
 
 
-class NoCanonicalCycleError(LookupError):
+class NoCanonicalCycleError(TotalPrimeError, LookupError):
     """No built-in Hamiltonian cycle recipe for the requested family."""
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(TotalPrimeError, ValueError):
     """An operation requiring a nonempty collection received an empty one."""
 
 
-class NoPrimeError(ValueError):
+class NoPrimeError(TotalPrimeError, ValueError):
     """No prime exists at or below the requested bound."""
 
 
-class SieveLimitError(RuntimeError):
+class SieveLimitError(TotalPrimeError, RuntimeError):
     """The prime table would have to grow past its configured cap."""
 
 
-class SizeMismatchError(ValueError):
+class SizeMismatchError(TotalPrimeError, ValueError):
     """Labeling shape does not match the graph it is checked against."""
 
 
-class BoundTooSmallError(ValueError):
+class BoundTooSmallError(TotalPrimeError, ValueError):
     """Coprime label bound smaller than the vertex count."""
 
 
-class NotPrimeLabelingError(ValueError):
+class NotPrimeLabelingError(TotalPrimeError, ValueError):
     """Vertex labeling fails the prime-labeling conditions."""
 
 
-class NotCoprimeError(ValueError):
+class NotCoprimeError(TotalPrimeError, ValueError):
     """Vertex labeling fails the coprime-labeling conditions."""
 
 
-class InvalidHamiltonianDataError(ValueError):
+class InvalidHamiltonianDataError(TotalPrimeError, ValueError):
     """Cycle or chord data inconsistent with the graph."""
 
 
-class BoundViolatedError(ValueError):
+class BoundViolatedError(TotalPrimeError, ValueError):
     """Label bound too large for the edge-count hypothesis."""
 
 
-class NotATreeError(ValueError):
+class NotATreeError(TotalPrimeError, ValueError):
     """Input graph is not a tree."""
 
 
-class UnsupportedCaseError(ValueError):
+class UnsupportedCaseError(TotalPrimeError, ValueError):
     """Parameter combination outside the implemented construction cases."""
 
 
-class NotFoundWithinBoundError(LookupError):
+class NotFoundWithinBoundError(TotalPrimeError, LookupError):
     """Exhaustive search ruled out every bound up to the requested cap."""

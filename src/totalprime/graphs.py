@@ -3,8 +3,8 @@
 Conventions used throughout: hub/centre vertices come first, then cycle or
 path vertices in traversal order, then pendants.  Edges are stored as
 ``(u, v)`` pairs with ``u < v``, sorted lexicographically, so "canonical edge
-order" always means the order of ``Graph.edges``.  Instances are plain data;
-treat them as immutable after construction.
+order" always means the order of ``Graph.edges``.  Graphs are frozen: every
+builder passes its roles in at construction.
 """
 
 from __future__ import annotations
@@ -27,33 +27,15 @@ if TYPE_CHECKING:  # pragma: no cover
 Edge = tuple[int, int]
 RoleMap = dict[str, Union[int, list[int]]]
 
-FAMILIES = (
-    "helm",
-    "cycle_chord",
-    "wheel",
-    "snake",
-    "book",
-    "complete",
-    "windmill",
-    "friendship",
-    "prism",
-    "stacked_prism",
-    "grid",
-    "ladder",
-    "path_power",
-    "cycle_power",
-    "bistar",
-    "path",
-    "cycle",
-    "star",
-    "tree",
-    "union",
-)
 
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1``."""
+    """Simple undirected graph on vertices ``0..n-1``.
+
+    Edges may be given in any orientation and order; construction stores
+    them canonically (``u < v``, sorted) and rejects self-loops, duplicates
+    and out-of-range endpoints.
+    """
 
     n: int
     edges: tuple[Edge, ...]
@@ -63,20 +45,9 @@ class Graph:
     )
 
     def __post_init__(self) -> None:
-        seen: set[Edge] = set()
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise InvalidParameterError(
-                    f"edge ({u}, {v}) invalid for a graph of order {self.n}"
-                )
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        self._edge_set = seen
+        edges, adjacency = _index_edges(self.n, self.edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def m(self) -> int:
@@ -86,9 +57,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def components(self) -> list[list[int]]:
         seen = [False] * self.n
@@ -121,18 +90,60 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return make_graph(data["n"], data["edges"], data.get("roles") or {})
+        """Build from ``to_json_dict`` output, rejecting malformed documents
+        with an InvalidParameterError that names the bad field."""
+        if not isinstance(data, dict):
+            raise InvalidParameterError("graph JSON must be an object")
+        n, edges, roles = data.get("n"), data.get("edges"), data.get("roles") or {}
+        if type(n) is not int or n < 0:
+            raise InvalidParameterError(f"graph field 'n' is not a vertex count: {n!r}")
+        if not isinstance(edges, list):
+            raise InvalidParameterError(f"graph field 'edges' is not a list: {edges!r}")
+        if not isinstance(roles, dict):
+            raise InvalidParameterError(f"graph field 'roles' is not an object: {roles!r}")
+        return cls(n, edges, dict(roles))
 
 
-def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None) -> Graph:
-    """Normalize an edge list (u < v, sorted) and build a Graph."""
+def _index_edges(
+    n: int, edges: Iterable[Iterable[int]]
+) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical edge tuple and sorted neighbour lists of a raw edge list.
+
+    This is the one place an edge list is checked.  Neighbour lists come out
+    sorted because the edges are walked in sorted order: every ``(w, x)``
+    with ``w < x`` precedes every ``(x, y)``.
+    """
     norm = []
-    for u, v in edges:
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int:
+            raise InvalidParameterError(f"edge {e!r} is not a pair of vertex indices")
         if u == v:
             raise InvalidParameterError(f"self-loop at vertex {u}")
         norm.append((u, v) if u < v else (v, u))
     norm.sort()
-    return Graph(n, tuple(norm), dict(roles or {}))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    prev = None
+    for e in norm:
+        u, v = e
+        if u < 0 or v >= n:
+            raise InvalidParameterError(
+                f"edge ({u}, {v}) invalid for a graph of order {n}"
+            )
+        if e == prev:
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+        prev = e
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(norm), tuple(map(tuple, nbrs))
+
+
+def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None) -> Graph:
+    """Normalize an edge list (u < v, sorted) and build a Graph."""
+    return Graph(n, edges, dict(roles or {}))
 
 
 @dataclass(frozen=True)
@@ -282,11 +293,11 @@ def _build_bistar(spec: FamilySpec) -> Graph:
 
 def _build_prism(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 3)
-    g = cartesian_product(
+    edges = _product_edges(
         _build_path(FamilySpec("path", n=2)), _build_cycle(FamilySpec("cycle", n=n))
     )
-    g.roles.update({"u_cycle": list(range(n)), "v_cycle": list(range(n, 2 * n))})
-    return g
+    roles = {"u_cycle": list(range(n)), "v_cycle": list(range(n, 2 * n))}
+    return make_graph(2 * n, edges, roles)
 
 
 def _build_stacked_prism(spec: FamilySpec) -> Graph:
@@ -329,7 +340,8 @@ def _build_tree(spec: FamilySpec) -> Graph:
         if n != 1:
             raise MalformedTreeError("a tree without edges must have one vertex")
         return make_graph(1, ())
-    n = spec.n if spec.n is not None else max(max(e) for e in edges) + 1
+    # a tree on m edges has m + 1 vertices; other orders fail the checks below
+    n = spec.n if spec.n is not None else len(edges) + 1
     try:
         g = make_graph(n, edges)
     except InvalidParameterError as exc:
@@ -368,6 +380,8 @@ _BUILDERS = {
     "union": _build_union,
 }
 
+FAMILIES = tuple(_BUILDERS)
+
 
 def build_family(spec: FamilySpec) -> Graph:
     """Construct the requested family with its documented vertex ordering."""
@@ -382,12 +396,16 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex ``(a, b)`` gets index ``a * h.n + b``."""
     if g.n == 0 or h.n == 0:
         raise InvalidParameterError("product factors must be nonempty")
+    return make_graph(g.n * h.n, _product_edges(g, h))
+
+
+def _product_edges(g: Graph, h: Graph) -> list[Edge]:
     edges = []
     for a, b in g.edges:
         edges += [(a * h.n + c, b * h.n + c) for c in range(h.n)]
     for c, d in h.edges:
         edges += [(a * h.n + c, a * h.n + d) for a in range(g.n)]
-    return make_graph(g.n * h.n, edges)
+    return edges
 
 
 def graph_power(g: Graph, k: int) -> Graph:

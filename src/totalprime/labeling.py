@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .errors import BoundTooSmallError, SizeMismatchError
+from .errors import BoundTooSmallError, InvalidParameterError, SizeMismatchError
 from .graphs import Edge, Graph
 
 NON_BIJECTIVE = "non_bijective"
@@ -75,11 +75,35 @@ class Labeling:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Labeling":
+        """Read ``to_json_dict`` output; a malformed document raises
+        InvalidParameterError naming the bad field."""
+        if not isinstance(data, dict) or not isinstance(data.get("vertex_labels"), list):
+            raise InvalidParameterError("labeling JSON needs a 'vertex_labels' list")
+        vertex_labels, entries = data["vertex_labels"], data.get("edge_labels", [])
+        if not isinstance(entries, list):
+            raise InvalidParameterError(f"labeling field 'edge_labels' is not a list: {entries!r}")
+        for i, lab in enumerate(vertex_labels):
+            if type(lab) is not int:
+                raise InvalidParameterError(
+                    f"labeling field 'vertex_labels[{i}]' is not an integer: {lab!r}"
+                )
         edge_labels = {}
-        for pair, lab in data.get("edge_labels", []):
-            u, v = pair
-            edge_labels[(u, v) if u < v else (v, u)] = lab
-        return cls(list(data["vertex_labels"]), edge_labels)
+        for i, entry in enumerate(entries):
+            try:
+                (u, v), lab = entry
+            except (TypeError, ValueError):
+                u = v = lab = None
+            if not all(type(x) is int for x in (u, v, lab)):
+                raise InvalidParameterError(
+                    f"labeling field 'edge_labels[{i}]' is not [[u, v], label]: {entry!r}"
+                )
+            edge = (u, v) if u < v else (v, u)
+            if edge in edge_labels:
+                raise InvalidParameterError(
+                    f"labeling field 'edge_labels[{i}]' repeats edge {edge}"
+                )
+            edge_labels[edge] = lab
+        return cls(list(vertex_labels), edge_labels)
 
 
 @dataclass

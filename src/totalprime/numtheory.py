@@ -12,6 +12,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Optional
 
 from .errors import (
@@ -186,3 +187,26 @@ def check_label_capacity_bounds(n_max: int) -> CapacityReport:
         if table.nth(2 * n - 3) >= n * n - n:
             return CapacityReport(False, n_max, (n, "p[2n-3] < n^2-n"))
     return CapacityReport(True, n_max)
+
+
+def check_prime_counting_bounds(limit: int) -> tuple[bool, bool]:
+    """Sweep ``x <= limit`` for ``pi(x) > x / ln x`` (``x >= 17``) and for
+    Bertrand's ``largest prime <= x`` exceeding ``x / 2`` (``x >= 4``).
+
+    Both the prime count and the largest prime are constant on each prime
+    gap while ``x / ln x`` grows, so only the last ``x`` of each gap is
+    checked.  Returns ``(pi_ok, bertrand_ok)``.
+    """
+    table = shared_table()
+    table.ensure_limit(limit)
+    count = bisect_right(table.primes, limit)
+    # the gap of each prime ends below the next one; the last gap ends at limit
+    nexts = chain(islice(table.primes, 1, count), (limit + 1,))
+    pi_ok = bertrand_ok = True
+    for i, (p, q) in enumerate(zip(table.primes, nexts), 1):
+        x = q - 1
+        if x >= 17 and i <= x / math.log(x):
+            pi_ok = False
+        if x >= 4 and 2 * p <= x:
+            bertrand_ok = False
+    return pi_ok, bertrand_ok

@@ -582,9 +582,15 @@ def minimum_coprime_number(
     nodes_total = 0
     for bound in range(g.n, k_max + 1):
         remaining = cfg.node_budget - nodes_total
-        if remaining <= 0:
-            break
-        outcome = find_coprime(g, bound, replace(cfg, node_budget=remaining))
+        time_left = None
+        if cfg.time_budget is not None:
+            time_left = cfg.time_budget - (time.perf_counter() - started)
+        if remaining <= 0 or (time_left is not None and time_left <= 0):
+            return MinimumCoprimeResult(
+                BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
+            )
+        bound_cfg = replace(cfg, node_budget=remaining, time_budget=time_left)
+        outcome = find_coprime(g, bound, bound_cfg)
         nodes_total += outcome.nodes_explored
         elapsed = time.perf_counter() - started
         if outcome.status == FOUND:
@@ -595,10 +601,6 @@ def minimum_coprime_number(
             return MinimumCoprimeResult(
                 BUDGET_EXCEEDED, None, None, nodes_total, elapsed
             )
-    if nodes_total >= cfg.node_budget:
-        return MinimumCoprimeResult(
-            BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
-        )
     raise NotFoundWithinBoundError(
         f"no coprime labeling with max label <= {k_max}"
     )

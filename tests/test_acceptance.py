@@ -1,17 +1,24 @@
 """End-to-end acceptance suite.
 
-One test per criterion; each prints a PASS/FAIL line (visible with
-``pytest tests/test_acceptance.py -v -s`` or via scripts/run_acceptance.py).
+One test per criterion; each prints a PASS/FAIL line, visible with
+``pytest tests/test_acceptance.py -v -s``.
 """
 
-import math
 import time
 
 import networkx as nx
 import pytest
 
 import totalprime as tp
-from totalprime import FamilySpec, SearchConfig, build_family, canonical_hamiltonian
+from totalprime import (
+    GALLERY,
+    FamilySpec,
+    SearchConfig,
+    build_family,
+    canonical_hamiltonian,
+    construct,
+    soundness_grid,
+)
 
 BUDGET = SearchConfig(node_budget=100_000_000)
 
@@ -22,51 +29,23 @@ def report(name, ok, extra=""):
     assert ok, name
 
 
-def grid_instances():
-    """The constructor soundness grid: (label, ConstructionResult)."""
-    for n in range(3, 201):
-        yield f"helm {n}", tp.helm(n)
-    for n in range(4, 201):
-        for k in range(3, n):
-            yield f"cycle_chord {n} k={k}", tp.cycle_with_chord(n, k)
-    for k in range(3, 13):
-        for n in range(2, 13):
-            yield f"snake {k}x{n}", tp.snake(k, n)
-    for k in range(3, 12):
-        for n in range(3, 12):
-            yield f"book {k}x{n}", tp.book(k, n)
-    for n in range(4, 61):
-        yield f"complete {n}", tp.complete(n)
-    for n in range(4, 41):
-        yield f"windmill pair {n}", tp.windmill(n, 2, scheme="pair")
-    for n in (4, 5, 6):
-        for m in range(2, 41):
-            yield f"windmill {n}x{m}", tp.windmill(n, m)
-    for n in range(3, 301):
-        yield f"prism {n}", tp.prism(n)
-    for n in range(2, 201):
-        yield f"rect stack {n}", tp.stacked_rect_prism(n)
-    for m in range(1, 41):
-        for n in range(1, 41):
-            yield f"bistar {m}x{n}", tp.bistar(m, n)
-
-
 def test_criterion_1_constructor_soundness_grid():
     started = time.perf_counter()
     count = 0
     violations = 0
     prism_branches = set()
     book_cases = set()
-    for label, result in grid_instances():
+    for inst in soundness_grid():
+        result = construct(inst.spec, inst.scheme)
         rep = tp.verify_total_prime(result.graph, result.labeling)
         if not rep.valid:
             violations += len(rep.violations)
-            print(f"  grid failure at {label}: {rep.violations[:3]}")
-        if label.startswith("prism"):
+            print(f"  grid failure at {inst.name}: {rep.violations[:3]}")
+        if inst.spec.family == "prism":
             prism_branches.add(
                 (result.notes["block_residue"], result.notes["swap_applied"])
             )
-        elif label.startswith("book"):
+        elif inst.spec.family == "book":
             book_cases.add(result.notes["case"])
         count += 1
     elapsed = time.perf_counter() - started
@@ -75,30 +54,17 @@ def test_criterion_1_constructor_soundness_grid():
     } and {"even", "odd"} <= book_cases
     report(
         "criterion 1: constructor soundness grid",
-        violations == 0 and all_branches and elapsed < 60,
+        count == 22_200 and violations == 0 and all_branches and elapsed < 60,
         f"{count} instances, {violations} violations, {elapsed:.1f}s",
     )
 
 
-GALLERY = [
-    ("helm rim 4", lambda: tp.helm(4)),
-    ("cycle 9 with chord at 5", lambda: tp.cycle_with_chord(9, 5)),
-    ("snake 5x3", lambda: tp.snake(5, 3)),
-    ("book 5x3", lambda: tp.book(5, 3)),
-    ("complete 6", lambda: tp.complete(6)),
-    ("windmill 4x3", lambda: tp.windmill(4, 3)),
-    ("prism 12", lambda: tp.prism(12)),
-    ("rect stack 4", lambda: tp.stacked_rect_prism(4)),
-    ("bistar 4x5", lambda: tp.bistar(4, 5)),
-]
-
-
 def test_criterion_2_gallery_instances():
     bad = []
-    for name, build in GALLERY:
-        result = build()
+    for inst in GALLERY:
+        result = construct(inst.spec, inst.scheme)
         if not tp.verify_total_prime(result.graph, result.labeling).valid:
-            bad.append(name)
+            bad.append(inst.name)
     report("criterion 2: gallery instances verify", not bad, f"{len(GALLERY)} instances")
 
 
@@ -220,25 +186,8 @@ def test_criterion_5_extension_theorems_end_to_end():
 
 def test_criterion_6_bound_suite():
     capacity = tp.check_label_capacity_bounds(1000)
-
     limit = 1_000_000
-    table = tp.numtheory.shared_table()
-    table.ensure_limit(limit)
-    flags = table.flags
-    pi_ok = True
-    bertrand_ok = True
-    count = 0
-    last_prime = 0
-    for x in range(2, limit + 1):
-        if flags[x]:
-            count += 1
-            last_prime = x
-        if x >= 17 and count <= x / math.log(x):
-            pi_ok = False
-            break
-        if x >= 4 and 2 * last_prime <= x:
-            bertrand_ok = False
-            break
+    pi_ok, bertrand_ok = tp.check_prime_counting_bounds(limit)
     report(
         "criterion 6: bound suite",
         capacity.ok and pi_ok and bertrand_ok,
@@ -276,17 +225,17 @@ def test_criterion_7_certificate_soundness():
 def test_criterion_8_oracle_agreement_on_small_instances():
     checked = 0
     ok = True
-    for label, result in grid_instances():
-        g = result.graph
+    for inst in soundness_grid():
+        g = build_family(inst.spec)
         if g.n + g.m > 16:
             continue
         out = tp.find_total_prime(g, BUDGET)
         if out.status != tp.FOUND or not tp.verify_total_prime(g, out.labeling).valid:
             ok = False
-            print(f"  oracle disagreement at {label}: {out.status}")
+            print(f"  oracle disagreement at {inst.name}: {out.status}")
         checked += 1
     report(
         "criterion 8: search oracle agrees with constructions",
-        ok and checked >= 30,
+        ok and checked == 34,
         f"{checked} instances with |V|+|E| <= 16",
     )

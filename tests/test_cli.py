@@ -109,6 +109,53 @@ class TestLabelVerifyExport:
         assert run(capsys, "verify", "--in", "/nonexistent/x.json")[0] == 3
 
 
+class TestMalformedInput:
+    """A malformed document exits 2 naming the bad field; an unreadable one 3."""
+
+    @pytest.fixture
+    def doc(self, tmp_path, capsys):
+        path = tmp_path / "helm3.json"
+        run(capsys, "label", "--family", "helm", "-n", "3", "--out", str(path))
+        return path
+
+    @pytest.mark.parametrize(
+        "command, corrupt, field",
+        [
+            ("verify", lambda d: d["labeling"]["vertex_labels"].__setitem__(0, "x"),
+             "vertex_labels[0]"),
+            ("verify", lambda d: d["graph"]["edges"].__setitem__(0, [0]), "edge [0]"),
+            ("generate", lambda d: d["graph"]["edges"].__setitem__(0, [0]), "edge [0]"),
+            ("verify", lambda d: d["labeling"].pop("vertex_labels"), "vertex_labels"),
+            ("verify", lambda d: d.pop("graph"), "graph JSON"),
+            ("verify", lambda d: d["labeling"]["edge_labels"].insert(0, [[1, 0], 99]),
+             "edge_labels[1]"),
+        ],
+    )
+    def test_malformed_document_exit_2(self, doc, capsys, command, corrupt, field):
+        data = json.loads(doc.read_text())
+        corrupt(data)
+        doc.write_text(json.dumps(data))
+        assert main([command, "--in", str(doc)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--family", "tree", "--edges", "[[0,1],[1,2,3]]"], "edge [1, 2, 3]"),
+            (["--family", "tree", "--edges", "[[0,1]"], "--edges"),
+            (["--family", "union", "--cycles", "3,a"], "--cycles"),
+        ],
+    )
+    def test_malformed_flag_exit_2(self, capsys, flags, field):
+        assert main(["generate", *flags]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_undecodable_file_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{")
+        assert main(["verify", "--in", str(path)]) == 3
+
+
 class TestSearchCommand:
     def test_odd_cycle_reports_exhausted(self, capsys):
         code, out = run(capsys, "search", "--total-prime", "--family", "cycle", "-n", "5")

@@ -13,6 +13,7 @@ from totalprime.errors import (
 from totalprime.numtheory import (
     PrimeTable,
     check_label_capacity_bounds,
+    check_prime_counting_bounds,
     gcd_set,
     largest_prime_leq,
     nth_prime,
@@ -133,3 +134,22 @@ class TestCapacityBounds:
     def test_rejects_tiny_n(self):
         with pytest.raises(InvalidParameterError):
             check_label_capacity_bounds(3)
+
+
+def test_prime_counting_sweep_matches_every_x_reference():
+    # reference: walk every x, stopping at the first failure
+    table = numtheory.shared_table()
+    table.ensure_limit(5000)
+    flags = table.flags
+    pi_ok = bertrand_ok = True
+    count = last_prime = 0
+    for x in range(2, 5001):
+        if flags[x]:
+            count += 1
+            last_prime = x
+        if pi_ok and bertrand_ok:
+            if x >= 17 and count <= x / math.log(x):
+                pi_ok = False
+            elif x >= 4 and 2 * last_prime <= x:
+                bertrand_ok = False
+        assert check_prime_counting_bounds(x) == (pi_ok, bertrand_ok), x

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_total_prime
+from totalprime import search
 from totalprime.constructors import bistar, helm, snake
 from totalprime.errors import InvalidParameterError, NotFoundWithinBoundError
 from totalprime.graphs import FamilySpec, build_family, make_graph
@@ -177,6 +180,23 @@ class TestMinimumCoprime:
     def test_budget_exceeded_status(self):
         g = build_family(FamilySpec("stacked_prism", m=3, n=3))
         res = minimum_coprime_number(g, 20, SearchConfig(node_budget=3))
+        assert res.status == BUDGET_EXCEEDED and res.value is None
+
+    def test_every_bound_exhausted_within_budget(self):
+        # bounds 6..10 of K6 take 3,249 nodes between them
+        g = build_family(FamilySpec("complete", n=6))
+        with pytest.raises(NotFoundWithinBoundError):
+            minimum_coprime_number(g, 10, SearchConfig(node_budget=3_249))
+        res = minimum_coprime_number(g, 11, SearchConfig(node_budget=3_249))
+        assert res.status == BUDGET_EXCEEDED
+
+    def test_time_budget_spans_bounds(self, monkeypatch):
+        # every clock reading is one second after the last; each bound alone
+        # fits in the budget, all of them together do not
+        clock = itertools.count()
+        monkeypatch.setattr(search.time, "perf_counter", lambda: float(next(clock)))
+        g = build_family(FamilySpec("complete", n=6))
+        res = minimum_coprime_number(g, 20, SearchConfig(time_budget=5))
         assert res.status == BUDGET_EXCEEDED and res.value is None
 
 
