@@ -51,7 +51,13 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
             raise InvalidParameterError(f"--edges must be a JSON list, got {edges!r}")
         return FamilySpec("tree", n=args.n, edges=tuple(edges))
     if family == "cycle_chord":
-        return FamilySpec("cycle_chord", n=args.n, k=args.chord or 3)
+        # the chord offset is --chord or -k; the builder defaults it to 3
+        if args.chord is not None and args.k is not None and args.chord != args.k:
+            raise InvalidParameterError(
+                f"--chord {args.chord} and -k {args.k} disagree; give the chord offset once"
+            )
+        chord = args.chord if args.chord is not None else args.k
+        return FamilySpec("cycle_chord", n=args.n, k=chord)
     return FamilySpec(family, n=args.n, m=args.m, k=args.k)
 
 
@@ -202,7 +208,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("-n", type=int, help="main size parameter")
     parser.add_argument("-m", type=int, help="secondary size parameter")
     parser.add_argument("-k", type=int, help="cycle length / power parameter")
-    parser.add_argument("--chord", type=int, help="chord offset (cycle-chord)")
+    parser.add_argument("--chord", type=int, help="chord offset (cycle-chord; same as -k)")
     parser.add_argument("--cycles", help="comma list of cycle lengths (union)")
     parser.add_argument("--edges", help="JSON edge list (tree)")
 

@@ -2,12 +2,23 @@
 labelings, plus the odd-label counting certificate for unions with stacks of
 triangles.
 
-Searches are complete and deterministic for a fixed SearchConfig.  Pruning:
+Searches are complete and deterministic for a fixed SearchConfig.
 
-* adjacent vertices must stay coprime, checked the moment the second
-  endpoint is labeled;
-* once the last edge at a degree->=2 vertex is placed, the incident edge
-  labels must have gcd 1;
+Representation: label sets are Python ints used as bitsets, bit x standing
+for label x.  A table of conflict masks (bit y of the mask of x is set when
+gcd(x, y) > 1) is built on first use, grown when a larger label limit is
+asked for and kept at module level; smaller limits mask it down.  The
+engines keep a ``free`` mask of unused labels and, per vertex, a
+``blocked`` mask: the union of the conflict masks of its labeled neighbors,
+updated when a vertex is labeled and restored from a trail when the label
+is taken back.  A vertex's domain is ``free & ~blocked[v]``.
+
+Pruning:
+
+* adjacent vertices must stay coprime: a vertex only takes values in its
+  domain;
+* the last edge at a degree->=2 vertex must be coprime to the gcd of the
+  labels already on its other edges, one more conflict mask;
 * odd-label counting: even vertex labels form an independent set, so each
   component needs at least (order - independence number) odd vertex labels;
   every vertex of degree >= 2 needs an odd incident edge (all-even incident
@@ -15,26 +26,27 @@ Searches are complete and deterministic for a fixed SearchConfig.  Pruning:
   only when it joins them directly, which bounds the odd edge labels still
   required from below.  A branch dies when the total remaining demand
   exceeds the unused odd labels, or a class has fewer open slots than its
-  remaining demand.
-
+  remaining demand.  The edge bound is kept as state: the counts of
+  uncovered vertices and of unassigned edges joining two of them change
+  only when an edge is labeled, and are updated there in place.
 * forest parity placement: on forests, the even labels still to be placed
   must fit an independent set of unassigned vertices with no even-labeled
   neighbor; the maximum such set is computed exactly by leaf-stripping.
 
 Variable order: vertex-only searches pick the most constrained vertex next
-(fewest compatible unused values, then most labeled neighbors, then index),
+(smallest domain by ``bit_count``, then most labeled neighbors, then index),
 which keeps backtracking shallow even on 50-vertex trees.  The combined
-search labels vertices in a Prim-style sweep seeded at the highest-degree
-vertex, then edges grouped by that vertex order so each vertex's incident
-set completes early.  Values are tried ascending unless a shuffle seed is
-set.
+search labels all vertices first, in a Prim-style sweep seeded at the
+highest-degree vertex, then all edges grouped by that vertex order so each
+vertex's incident set completes early.  Values are tried ascending unless a
+shuffle seed is set.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 from typing import Optional
 
@@ -169,6 +181,47 @@ def _value_order(limit: int, seed: Optional[int]) -> list[int]:
     return values
 
 
+# Conflict masks up to the largest label limit asked for so far, built on
+# first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
+# gcd(x, y) > 1 (index 0 is unused and holds 0).  Smaller limits mask it down,
+# so the process keeps one table.
+_CONFLICTS: list[int] = [0]
+
+
+def _conflict_masks(limit: int) -> list[int]:
+    """The conflict mask of every value up to ``limit``."""
+    global _CONFLICTS
+    if limit >= len(_CONFLICTS):
+        # at least doubling the table lets the increasing bounds of
+        # minimum_coprime_number rebuild it only a logarithmic number of times
+        top = max(limit, 2 * (len(_CONFLICTS) - 1))
+        # smallest prime factor sieve, then each value's mask is the union
+        # of the multiples of its prime factors
+        spf = list(range(top + 1))
+        for p in range(2, isqrt(top) + 1):
+            if spf[p] == p:
+                for k in range(p * p, top + 1, p):
+                    if spf[k] == k:
+                        spf[k] = p
+        table = [0] * (top + 1)
+        multiples: dict[int, int] = {}
+        for x in range(2, top + 1):
+            p = spf[x]
+            if p not in multiples:
+                # bits p, 2p, ..., (top // p) * p as one geometric series
+                reps = top // p + 1
+                multiples[p] = ((1 << (p * reps)) - 1) // ((1 << p) - 1) - 1
+            rest = x // p
+            while rest % p == 0:
+                rest //= p
+            table[x] = table[rest] | multiples[p]
+        _CONFLICTS = table
+    if limit == len(_CONFLICTS) - 1:
+        return _CONFLICTS
+    keep = (2 << limit) - 1
+    return [mask & keep for mask in _CONFLICTS[: limit + 1]]
+
+
 def _vertex_order(g: Graph) -> list[int]:
     """Prim-style sweep: highest degree first, then greedily the vertex with
     the most already-ordered neighbors (ties by degree, then index).
@@ -198,14 +251,24 @@ def _vertex_order(g: Graph) -> list[int]:
 
 
 class _Engine:
-    """Shared state for the vertex and total searches."""
+    """Shared state for the vertex and total searches.
+
+    ``free`` has bit x set while label x is unused; ``blocked[v]`` has bit x
+    set when x shares a prime with the label of some labeled neighbor of v,
+    so the values v may still take are ``free & ~blocked[v]``.
+    ``labeled_nbrs`` breaks ties in the vertex engine's choice of vertex.
+    """
 
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
         self.g = g
         self.cfg = cfg
         self.limit = limit
         self.values = _value_order(limit, cfg.randomize)
-        self.used = [False] * (limit + 1)
+        self.conflict = _conflict_masks(limit)
+        self.free = (2 << limit) - 2
+        self.blocked = [0] * g.n
+        self.labeled_nbrs = [0] * g.n
+        self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
         self.nodes = 0
         self.deadline = (
@@ -228,24 +291,34 @@ class _Engine:
             if time.perf_counter() > self.deadline:
                 raise _OutOfBudget
 
-    def vertex_ok(self, v: int, val: int) -> bool:
-        vlab = self.vlab
-        for u in self.g.adjacency[v]:
-            lu = vlab[u]
-            if lu and gcd(lu, val) > 1:
-                return False
+    def values_in(self, mask: int) -> list[int]:
+        """The values whose bits are set in ``mask``, in try order."""
+        return [val for val in self.values if mask >> val & 1]
+
+    def vertex_values(self, v: int, allowed: int) -> list[int]:
+        """The values of ``allowed`` (a mask) in try order, less those that
+        symmetry breaking rules out for v."""
+        values = self.values_in(allowed)
         if self.cfg.symmetry_breaking:
+            vlab = self.vlab
             if v == 0:
-                for u in range(self.g.n):
-                    if u != 0 and vlab[u] and vlab[u] < val:
-                        return False
-            elif vlab[0] and val < vlab[0]:
-                return False
-        return True
+                others = [vlab[u] for u in range(1, self.g.n) if vlab[u]]
+                values = [val for val in values if all(val <= lu for lu in others)]
+            elif vlab[0]:
+                values = [val for val in values if val >= vlab[0]]
+        return values
 
     def place_vertex(self, v: int, val: int) -> None:
-        self.used[val] = True
+        self.free ^= 1 << val
         self.vlab[v] = val
+        conflict = self.conflict[val]
+        blocked = self.blocked
+        labeled_nbrs = self.labeled_nbrs
+        trail = self.trail
+        for u in self.g.adjacency[v]:
+            trail.append(blocked[u])
+            blocked[u] |= conflict
+            labeled_nbrs[u] += 1
         cls = self.vertex_class[v]
         self.vopen[cls] -= 1
         if val & 1:
@@ -262,8 +335,14 @@ class _Engine:
                 self.vdeficit += 1
             self.odds_left += 1
         self.vopen[cls] += 1
+        blocked = self.blocked
+        labeled_nbrs = self.labeled_nbrs
+        trail = self.trail
+        for u in reversed(self.g.adjacency[v]):
+            blocked[u] = trail.pop()
+            labeled_nbrs[u] -= 1
         self.vlab[v] = 0
-        self.used[val] = False
+        self.free ^= 1 << val
 
     def vertex_classes_open(self, cls: int) -> bool:
         return self.vreq[cls] - self.vodd[cls] <= self.vopen[cls]
@@ -293,29 +372,26 @@ class _VertexEngine(_Engine):
             eligible[v] = True
         return _forest_independence(g.adjacency, eligible) >= evens_needed
 
-    def _pick_vertex(self):
-        """Most constrained unassigned vertex and its current domain size."""
-        g = self.g
+    def _pick_vertex(self) -> tuple[int, int]:
+        """The unassigned vertex minimising (domain size, -labeled neighbors,
+        index), with its domain as a mask; stops early at an empty domain."""
+        free = self.free
+        blocked = self.blocked
+        labeled_nbrs = self.labeled_nbrs
         vlab = self.vlab
-        used = self.used
-        best = None
-        best_key = None
-        for v in range(g.n):
+        best, best_allowed = -1, 0
+        best_size, best_nbrs = self.limit + 1, 0
+        for v in range(self.g.n):
             if vlab[v]:
                 continue
-            assigned = [vlab[u] for u in g.adjacency[v] if vlab[u]]
-            domain = 0
-            for val in self.values:
-                if used[val]:
-                    continue
-                if all(gcd(val, a) == 1 for a in assigned):
-                    domain += 1
-            key = (domain, -len(assigned), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-                if domain == 0:
+            allowed = free & ~blocked[v]
+            size = allowed.bit_count()
+            if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
+                best, best_allowed = v, allowed
+                best_size, best_nbrs = size, labeled_nbrs[v]
+                if size == 0:
                     break
-        return best, best_key[0]
+        return best, best_allowed
 
     def run(self) -> bool:
         if self.vdeficit > self.odds_left:
@@ -327,16 +403,11 @@ class _VertexEngine(_Engine):
     def _assign(self, count: int) -> bool:
         if count == self.g.n:
             return True
-        v, domain = self._pick_vertex()
-        if domain == 0:
+        v, allowed = self._pick_vertex()
+        if not allowed:
             return False
-        used = self.used
         cls = self.vertex_class[v]
-        for val in self.values:
-            if used[val]:
-                continue
-            if not self.vertex_ok(v, val):
-                continue
+        for val in self.vertex_values(v, allowed):
             self.spend()
             self.place_vertex(v, val)
             if (
@@ -353,8 +424,60 @@ class _VertexEngine(_Engine):
         return Labeling(list(self.vlab), {})
 
 
+class _CoverPool:
+    """Vertices that each still need an odd incident edge label, and the
+    unassigned edges joining two of them, counted in place as labels land.
+
+    Every vertex of degree >= 2 needs an odd incident edge (all-even incident
+    labels share the factor 2); one odd edge serves two such vertices only
+    along an unassigned edge joining them, so at least
+    ``max(ceil(uncovered / 2), uncovered - pairs)`` odd edge labels are still
+    required.
+    """
+
+    __slots__ = ("member", "is_pair", "pairs_at", "uncovered", "pairs")
+
+    def __init__(self, g: Graph, member: list[bool]):
+        self.member = member
+        self.is_pair = [member[u] and member[v] for u, v in g.edges]
+        self.pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        for ei, (u, v) in enumerate(g.edges):
+            if self.is_pair[ei]:
+                self.pairs_at[u].append((ei, v))
+                self.pairs_at[v].append((ei, u))
+        self.uncovered = sum(member)
+        self.pairs = sum(self.is_pair)
+
+    def need(self) -> int:
+        cnt = self.uncovered
+        if cnt == 0:
+            return 0
+        return max((cnt + 1) // 2, cnt - self.pairs)
+
+    def count_edge(
+        self, ei: int, u: int, v: int, odd: int, step: int, elab, odd_inc
+    ) -> None:
+        """Take edge ei = (u, v) out of the counts (``step`` -1, right after it
+        is labeled) or put it back (+1, right before its label is cleared);
+        at both moments ``odd_inc`` does not count its label."""
+        if self.is_pair[ei] and not odd_inc[u] and not odd_inc[v]:
+            self.pairs += step
+        if not odd:
+            return
+        member = self.member
+        for x in (u, v):
+            if member[x] and not odd_inc[x]:
+                self.uncovered += step
+                for e2, w in self.pairs_at[x]:
+                    if not elab[e2] and not odd_inc[w]:
+                        self.pairs += step
+
+
 class _TotalEngine(_Engine):
-    """Bijective labeling of vertices and edges onto 1..n+m."""
+    """Bijective labeling of vertices and edges onto 1..n+m.
+
+    Vertices are labeled first in ``vorder``, then edges in ``eorder``.
+    """
 
     def __init__(self, g: Graph, cfg: SearchConfig):
         super().__init__(g, cfg, g.n + g.m)
@@ -367,119 +490,73 @@ class _TotalEngine(_Engine):
                 if ei not in listed:
                     listed.add(ei)
                     eorder.append(ei)
-        self.slots = [("v", v) for v in self.vorder] + [("e", ei) for ei in eorder]
+        self.eorder = eorder
         self.elab = [0] * g.m
+        self.internal = [g.degree(v) >= 2 for v in range(g.n)]
         self.pending = [g.degree(v) for v in range(g.n)]
         self.egcd = [0] * g.n
-        # odd-edge coverage bookkeeping for vertices of degree >= 2; the
-        # degree-exactly-2 subset gets its own (often tighter) pair pool
-        internal = [g.degree(v) >= 2 for v in range(g.n)]
-        d2 = [g.degree(v) == 2 for v in range(g.n)]
-        self.internal_vertices = [v for v in range(g.n) if internal[v]]
-        self.d2_vertices = [v for v in range(g.n) if d2[v]]
         self.odd_inc = [0] * g.n
-        self.pair_candidates = [
-            ei for ei, (u, v) in enumerate(g.edges) if internal[u] and internal[v]
-        ]
-        self.d2_pair_candidates = [
-            ei for ei, (u, v) in enumerate(g.edges) if d2[u] and d2[v]
-        ]
+        # the degree-exactly-2 pool pairs only along degree2-degree2 edges,
+        # which is sometimes the sharper bound; the need is the max of both
+        # (one pool when the two vertex sets coincide)
+        d2 = [g.degree(v) == 2 for v in range(g.n)]
+        self.pools = [_CoverPool(g, self.internal)]
+        if d2 != self.internal:
+            self.pools.append(_CoverPool(g, d2))
+        self.need = max(pool.need() for pool in self.pools)
         self.unassigned_edges = g.m
 
-    @staticmethod
-    def _cover_need(uncovered, candidates, elab, edges, odd_inc) -> int:
-        cnt = 0
-        for v in uncovered:
-            if odd_inc[v] == 0:
-                cnt += 1
-        if cnt == 0:
-            return 0
-        pairs = 0
-        for ei in candidates:
-            if elab[ei] == 0:
-                u, v = edges[ei]
-                if odd_inc[u] == 0 and odd_inc[v] == 0:
-                    pairs += 1
-        return max((cnt + 1) // 2, cnt - pairs)
-
-    def edge_need(self) -> int:
-        """Lower bound on odd edge labels still required.
-
-        Every internal vertex without an odd incident edge still needs one; a
-        single odd edge serves two of them only along an unassigned edge
-        joining two such vertices.  Restricting the same count to vertices of
-        degree exactly 2 can only pair along degree2-degree2 edges, which is
-        sometimes the sharper bound; take the max of both.
-        """
-        elab = self.elab
-        edges = self.g.edges
-        odd_inc = self.odd_inc
-        need = self._cover_need(
-            self.internal_vertices, self.pair_candidates, elab, edges, odd_inc
-        )
-        need_d2 = self._cover_need(
-            self.d2_vertices, self.d2_pair_candidates, elab, edges, odd_inc
-        )
-        return max(need, need_d2)
-
     def feasible(self) -> bool:
-        need = self.edge_need()
-        if self.vdeficit + need > self.odds_left:
-            return False
-        return need <= self.unassigned_edges
+        """The odd labels left must cover the odd vertex labels and the odd
+        edge labels still required; vertex placements never move ``need``."""
+        need = self.need
+        return self.vdeficit + need <= self.odds_left and need <= self.unassigned_edges
 
     def run(self) -> bool:
         if not self.feasible():
             return False
         if any(r > s for r, s in zip(self.vreq, self.vopen)):
             return False
-        return self._assign(0)
+        return self._assign_vertex(0)
 
-    def _assign(self, idx: int) -> bool:
-        if idx == len(self.slots):
-            return True
-        kind, obj = self.slots[idx]
-        if kind == "v":
-            return self._assign_vertex(idx, obj)
-        return self._assign_edge(idx, obj)
-
-    def _assign_vertex(self, idx: int, v: int) -> bool:
-        used = self.used
+    def _assign_vertex(self, i: int) -> bool:
+        if i == self.g.n:
+            return self._assign_edge(0)
+        v = self.vorder[i]
         cls = self.vertex_class[v]
-        for val in self.values:
-            if used[val]:
-                continue
-            if not self.vertex_ok(v, val):
-                continue
+        for val in self.vertex_values(v, self.free & ~self.blocked[v]):
             self.spend()
             self.place_vertex(v, val)
             if (
                 self.vertex_classes_open(cls)
                 and self.feasible()
-                and self._assign(idx + 1)
+                and self._assign_vertex(i + 1)
             ):
                 return True
             self.unplace_vertex(v, val)
         return False
 
-    def _assign_edge(self, idx: int, ei: int) -> bool:
+    def _assign_edge(self, j: int) -> bool:
+        if j == len(self.eorder):
+            return True
+        ei = self.eorder[j]
         u, v = self.g.edges[ei]
-        used = self.used
+        elab = self.elab
         egcd = self.egcd
         pending = self.pending
         odd_inc = self.odd_inc
-        check_u = self.g.degree(u) >= 2
-        check_v = self.g.degree(v) >= 2
-        for val in self.values:
-            if used[val]:
-                continue
-            if check_u and pending[u] == 1 and gcd(egcd[u], val) != 1:
-                continue
-            if check_v and pending[v] == 1 and gcd(egcd[v], val) != 1:
-                continue
+        pools = self.pools
+        # the last edge at a vertex of degree >= 2 must be coprime to the gcd
+        # of the labels already on its other edges
+        allowed = self.free
+        if self.internal[u] and pending[u] == 1:
+            allowed &= ~self.conflict[egcd[u]]
+        if self.internal[v] and pending[v] == 1:
+            allowed &= ~self.conflict[egcd[v]]
+        for val in self.values_in(allowed):
             self.spend()
-            used[val] = True
-            self.elab[ei] = val
+            self.free ^= 1 << val
+            elab[ei] = val
             old_u, old_v = egcd[u], egcd[v]
             egcd[u] = gcd(old_u, val)
             egcd[v] = gcd(old_v, val)
@@ -487,22 +564,29 @@ class _TotalEngine(_Engine):
             pending[v] -= 1
             self.unassigned_edges -= 1
             odd = val & 1
+            need = self.need
+            for pool in pools:
+                pool.count_edge(ei, u, v, odd, -1, elab, odd_inc)
+            self.need = max(pool.need() for pool in pools)
             if odd:
                 self.odds_left -= 1
                 odd_inc[u] += 1
                 odd_inc[v] += 1
-            if self.feasible() and self._assign(idx + 1):
+            if self.feasible() and self._assign_edge(j + 1):
                 return True
             if odd:
                 odd_inc[u] -= 1
                 odd_inc[v] -= 1
                 self.odds_left += 1
+            for pool in pools:
+                pool.count_edge(ei, u, v, odd, 1, elab, odd_inc)
+            self.need = need
             self.unassigned_edges += 1
             pending[u] += 1
             pending[v] += 1
             egcd[u], egcd[v] = old_u, old_v
-            used[val] = False
-            self.elab[ei] = 0
+            elab[ei] = 0
+            self.free ^= 1 << val
         return False
 
     def labeling(self) -> Labeling:

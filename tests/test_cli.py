@@ -97,6 +97,34 @@ class TestLabelVerifyExport:
             assert code == 0, family
             assert run(capsys, "verify", "--in", str(path))[0] == 0, family
 
+    @pytest.mark.parametrize(
+        "flags, chord",
+        [
+            ([], 3),
+            (["--chord", "5"], 5),
+            (["-k", "5"], 5),
+            (["-k", "5", "--chord", "5"], 5),
+        ],
+    )
+    def test_cycle_chord_offset(self, capsys, flags, chord):
+        code, out = run(capsys, "label", "--family", "cycle-chord", "-n", "9", *flags)
+        assert code == 0
+        data = json.loads(out)
+        assert data["notes"]["chord"] == chord
+        assert [0, chord - 1] in data["graph"]["edges"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["-k", "5", "--chord", "4"], "--chord 4 and -k 5 disagree"),
+            (["--chord", "0"], "got k=0"),
+            (["-k", "9"], "got k=9"),
+        ],
+    )
+    def test_cycle_chord_bad_offset_exit_2(self, capsys, flags, message):
+        assert main(["label", "--family", "cycle-chord", "-n", "9", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_friendship_goes_through_search(self, capsys):
         code, out = run(capsys, "label", "--family", "friendship", "-m", "2")
         assert code == 0

@@ -1,7 +1,8 @@
 import itertools
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_total_prime
 from totalprime import search
@@ -285,3 +286,171 @@ class TestSearchConfig:
         data = out.to_json_dict()
         assert data["status"] == FOUND
         assert set(data) == {"status", "nodes", "ms", "labeling"}
+
+
+def test_conflict_masks_match_gcd():
+    # 7 and 1 are masked down from a larger table; 31 grows it
+    for limit in (30, 7, 31, 1):
+        masks = search._conflict_masks(limit)
+        for x in range(1, limit + 1):
+            assert masks[x] == sum(1 << y for y in range(1, limit + 1) if gcd(x, y) > 1)
+
+
+def grid(m, n):
+    return build_family(FamilySpec("grid", m=m, n=n))
+
+
+def complete(n):
+    return build_family(FamilySpec("complete", n=n))
+
+
+# Status and node count of fixed searches.  The engines are deterministic for
+# a fixed config, so a change in pruning or in variable or value order shows
+# here as a changed count.
+NODE_PINS = [
+    pytest.param(
+        lambda: find_total_prime(snake(3, 3).graph, SearchConfig(node_budget=30_000)),
+        FOUND, 11_497, id="snake 3x3 total",
+    ),
+    pytest.param(
+        lambda: find_total_prime(cycle(6), SearchConfig(randomize=11)),
+        FOUND, 1_825, id="C6 total seeded",
+    ),
+    pytest.param(
+        lambda: find_total_prime(cycle(6), SearchConfig(symmetry_breaking=True)),
+        FOUND, 21, id="C6 total pinned",
+    ),
+    pytest.param(lambda: find_prime(grid(4, 4)), FOUND, 225, id="grid 4x4 prime"),
+    pytest.param(
+        lambda: find_prime(grid(4, 4), SearchConfig(randomize=3)),
+        FOUND, 16, id="grid 4x4 prime seeded",
+    ),
+    pytest.param(
+        lambda: find_prime(grid(5, 5), SearchConfig(node_budget=10_000)),
+        BUDGET_EXCEEDED, 10_001, id="grid 5x5 prime",
+    ),
+    pytest.param(
+        lambda: minimum_coprime_number(complete(6), 24), FOUND, 3_255, id="K6 mcn",
+    ),
+    pytest.param(
+        lambda: minimum_coprime_number(complete(6), 24, SearchConfig(randomize=2)),
+        FOUND, 3_255, id="K6 mcn seeded",
+    ),
+    pytest.param(
+        lambda: find_coprime(build_family(FamilySpec("cycle_power", n=8, k=3)), 11),
+        FOUND, 8, id="C8 cube coprime",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, status, nodes", NODE_PINS)
+def test_node_count_pins(call, status, nodes):
+    out = call()
+    assert (out.status, out.nodes_explored) == (status, nodes)
+
+
+# --- brute-force oracle: the definitions alone, no engine pruning rule --------
+
+@st.composite
+def small_graphs(draw, max_labels=None):
+    """Graphs on at most 7 vertices; with ``max_labels``, n + m stays within it."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return make_graph(n, [])
+    max_size = len(pairs) if max_labels is None else min(len(pairs), max_labels - n)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size))
+    return make_graph(n, edges)
+
+
+def coprime_oracle(g, bound):
+    """Some injection of the vertices into 1..bound keeps every edge coprime."""
+    return any(
+        all(gcd(labels[u], labels[v]) == 1 for u, v in g.edges)
+        for labels in itertools.permutations(range(1, bound + 1), g.n)
+    )
+
+
+def _assignable(labels, slots, ok):
+    """Slots 0..slots-1 take distinct labels from ``labels`` so that
+    ``ok(placed)`` holds each time the next slot is filled."""
+    placed = []
+
+    def rec():
+        if len(placed) == slots:
+            return True
+        for lab in labels:
+            if lab not in placed:
+                placed.append(lab)
+                if ok(placed) and rec():
+                    return True
+                placed.pop()
+        return False
+
+    return rec()
+
+
+def total_prime_oracle(g):
+    """A bijection onto 1..n+m with (1) adjacent vertex labels coprime and
+    (2) incident edge labels of gcd 1 at every vertex of degree >= 2.
+
+    The two conditions split: (1) sees only the vertex labels, (2) only the
+    edge labels, so each set of vertex labels is checked on its own, and
+    each condition as soon as the labels it involves are placed.
+    """
+    total = g.n + g.m
+    incident = [[ei for ei, e in enumerate(g.edges) if x in e] for x in range(g.n)]
+
+    def vertex_ok(placed):
+        v = len(placed) - 1
+        return all(gcd(placed[u], placed[v]) == 1 for u in g.adjacency[v] if u < v)
+
+    def edge_ok(placed):
+        # edges are placed in index order: a vertex's set is complete when
+        # its highest-numbered edge is placed
+        ei = len(placed) - 1
+        return all(
+            len(incident[x]) < 2
+            or incident[x][-1] != ei
+            or gcd(*(placed[e] for e in incident[x])) == 1
+            for x in g.edges[ei]
+        )
+
+    for vertex_labels in itertools.combinations(range(1, total + 1), g.n):
+        edge_labels = [x for x in range(1, total + 1) if x not in vertex_labels]
+        if _assignable(vertex_labels, g.n, vertex_ok) and _assignable(
+            edge_labels, g.m, edge_ok
+        ):
+            return True
+    return False
+
+
+class TestBruteForceOracle:
+    """The engines against the definitions on every small graph drawn."""
+
+    @given(small_graphs(), st.none() | st.integers(0, 99))
+    @settings(max_examples=100, deadline=None)
+    def test_find_prime(self, g, seed):
+        out = find_prime(g, SearchConfig(randomize=seed))
+        assert out.status == (FOUND if coprime_oracle(g, g.n) else EXHAUSTED)
+        if out.status == FOUND:
+            assert verify_prime(g, out.labeling).valid
+
+    @given(small_graphs(), st.integers(0, 2), st.none() | st.integers(0, 99))
+    @settings(max_examples=100, deadline=None)
+    def test_find_coprime(self, g, slack, seed):
+        bound = g.n + slack
+        out = find_coprime(g, bound, SearchConfig(randomize=seed))
+        assert out.status == (FOUND if coprime_oracle(g, bound) else EXHAUSTED)
+        if out.status == FOUND:
+            assert verify_coprime(g, out.labeling, bound).valid
+
+    @given(small_graphs(max_labels=12), st.none() | st.integers(0, 99))
+    @example(cycle(5), None)
+    @example(cycle_union(3, 3), None)
+    @settings(max_examples=100, deadline=None)
+    def test_find_total_prime(self, g, seed):
+        out = find_total_prime(g, SearchConfig(randomize=seed))
+        assert out.status == (FOUND if total_prime_oracle(g) else EXHAUSTED)
+        if out.status == FOUND:
+            assert_total_prime(g, out.labeling, "oracle graph")
