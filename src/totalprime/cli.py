@@ -24,12 +24,28 @@ from typing import Optional
 from . import constructors, numtheory
 from . import search as search_mod
 from .errors import InvalidParameterError, NotFoundWithinBoundError, TotalPrimeError
-from .graphs import FamilySpec, Graph, build_family, to_dot
-from .labeling import Labeling, verify_total_prime
+from .graphs import _BUILDERS, FamilySpec, Graph, build_family, to_dot
+from .labeling import Labeling, _check_shape, verify_total_prime
+
+
+# each family flag and the FamilySpec field it fills
+_FAMILY_FLAGS = {
+    "-n": "n", "-m": "m", "-k": "k", "--chord": "k", "--cycles": "members", "--edges": "edges"
+}
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     family = args.family.replace("-", "_")
+    if family in _BUILDERS:  # an unknown family is left to the builder's error
+        reads = _BUILDERS[family][1]
+        unread = [
+            flag for flag, fld in _FAMILY_FLAGS.items()
+            if getattr(args, flag.lstrip("-")) is not None and fld not in reads
+        ]
+        if unread:
+            raise InvalidParameterError(
+                f"family {args.family} does not take {', '.join(unread)}"
+            )
     if family == "union":
         if not args.cycles:
             raise InvalidParameterError("union needs --cycles, e.g. --cycles 3,4")
@@ -50,15 +66,13 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
         if not isinstance(edges, list):
             raise InvalidParameterError(f"--edges must be a JSON list, got {edges!r}")
         return FamilySpec("tree", n=args.n, edges=tuple(edges))
-    if family == "cycle_chord":
-        # the chord offset is --chord or -k; the builder defaults it to 3
-        if args.chord is not None and args.k is not None and args.chord != args.k:
-            raise InvalidParameterError(
-                f"--chord {args.chord} and -k {args.k} disagree; give the chord offset once"
-            )
-        chord = args.chord if args.chord is not None else args.k
-        return FamilySpec("cycle_chord", n=args.n, k=chord)
-    return FamilySpec(family, n=args.n, m=args.m, k=args.k)
+    # --chord is another name for -k; the cycle-chord builder defaults it to 3
+    if args.chord is not None and args.k is not None and args.chord != args.k:
+        raise InvalidParameterError(
+            f"--chord {args.chord} and -k {args.k} disagree; give the chord offset once"
+        )
+    k = args.k if args.k is not None else args.chord
+    return FamilySpec(family, n=args.n, m=args.m, k=k)
 
 
 def _graph_from_args(args: argparse.Namespace) -> Graph:
@@ -193,6 +207,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     data = _read_json(args.infile)
     graph = Graph.from_json_dict(data.get("graph", data))
     labeling = Labeling.from_json_dict(data["labeling"]) if "labeling" in data else None
+    if labeling is not None:
+        _check_shape(graph, labeling, with_edges=bool(labeling.edge_labels))
     if args.format == "json":
         payload = {"graph": graph.to_json_dict()}
         if labeling is not None:
@@ -208,7 +224,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("-n", type=int, help="main size parameter")
     parser.add_argument("-m", type=int, help="secondary size parameter")
     parser.add_argument("-k", type=int, help="cycle length / power parameter")
-    parser.add_argument("--chord", type=int, help="chord offset (cycle-chord; same as -k)")
+    parser.add_argument("--chord", type=int, help="same as -k; the chord offset of cycle-chord")
     parser.add_argument("--cycles", help="comma list of cycle lengths (union)")
     parser.add_argument("--edges", help="JSON edge list (tree)")
 

@@ -4,11 +4,19 @@ graph + coprime labeling, tree + prime labeling).
 
 Every operation returns a ConstructionResult whose labeling must pass
 ``verify_total_prime`` on the returned graph; the test suite enforces this
-across large parameter grids.  Wherever a scheme leaves some labels "free",
-they are assigned in ascending order over the canonical edge order, so
-results are fully deterministic and snapshot-testable.  ``notes`` records the
-construction-time choices (chord position, swap applied, prime used, values
-skipped) so callers can assert against them.
+across large parameter grids.  Two primitives write every edge label:
+``_labeling`` gives a list of canonical edges a list of values in order and
+the remaining edges the unused labels ascending over the canonical edge
+order, so results are fully deterministic and snapshot-testable; ``_extend``
+is the extension step of the Hamiltonian theorems (the closed cycle, then the
+chord, take consecutive labels from a base).  Cycle with chord and the
+two-page book are instances of the prime-labeling extension; complete graphs,
+prisms and stacked rectangular prisms are instances of the coprime-labeling
+extension with bound m-1, their cycles taken from
+``graphs.canonical_hamiltonian``.  The other families list their edge
+sequences for ``_labeling``.  ``notes`` records the construction-time choices
+(chord position, swap applied, prime used, values skipped) so callers can
+assert against them.
 
 The registry at the end of the module is the one map from family to
 construction: ``construct`` labels a FamilySpec, ``soundness_grid`` yields the
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import numtheory
 from .errors import (
@@ -38,6 +46,7 @@ from .graphs import (
     HamiltonianData,
     _need,
     build_family,
+    canonical_hamiltonian,
     validate_hamiltonian,
 )
 from .labeling import Labeling, verify_coprime, verify_prime
@@ -54,17 +63,29 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _fill_leftovers(g: Graph, labeling: Labeling) -> list[int]:
-    """Assign all unused labels, ascending, over the canonical edge order."""
-    total = g.n + g.m
-    used = set(labeling.vertex_labels) | set(labeling.edge_labels.values())
-    leftovers = sorted(set(range(1, total + 1)) - used)
-    rest = [e for e in g.edges if e not in labeling.edge_labels]
-    if len(rest) != len(leftovers):
-        raise AssertionError("leftover labels do not match unlabeled edges")
-    for e, lab in zip(rest, leftovers):
-        labeling.edge_labels[e] = lab
-    return leftovers
+def _labeling(g: Graph, vl: list[int], edges: list[Edge], values: Iterable[int]) -> Labeling:
+    """Give the canonical ``edges`` the ``values`` in order; every other edge
+    takes the unused labels ascending over the canonical edge order."""
+    el = dict(zip(edges, values, strict=True))
+    if len(el) < g.m:
+        used = set(vl)
+        used.update(el.values())
+        leftovers = [lab for lab in range(1, g.n + g.m + 1) if lab not in used]
+        rest = [e for e in g.edges if e not in el]
+        el.update(zip(rest, leftovers, strict=True))
+    return Labeling(vl, el)
+
+
+def _extend(
+    g: Graph, vl: list[int], ham: HamiltonianData, start: int, notes: dict
+) -> ConstructionResult:
+    """The extension step: the closed cycle takes start+1..start+n from its
+    first vertex on, the chord start+n+1, the other edges what is left."""
+    cyc = ham.cycle
+    edges = [_norm(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    edges.append(_norm(*ham.chord))
+    values = range(start + 1, start + g.n + 2)
+    return ConstructionResult(g, _labeling(g, vl, edges, values), notes)
 
 
 def helm(rim: int) -> ConstructionResult:
@@ -79,46 +100,26 @@ def helm(rim: int) -> ConstructionResult:
     for i in range(2, n + 1):
         vl[n + i] = 2 * i       # pendant of rim vertex i
         vl[i] = 2 * i + 1
-    el: dict[Edge, int] = {}
+    edges = []
     for i in range(1, n + 1):
-        el[(i, n + i)] = 2 * i + 2 * n          # pendant edges
-    for i in range(1, n):
-        el[(i, i + 1)] = 2 * i + 2 * n + 1      # rim edges
-    el[(1, n)] = 4 * n + 1                      # rim closing edge
-    for i in range(1, n + 1):
-        el[(0, i)] = 4 * n + i + 1              # spokes, consecutive at the hub
-    return ConstructionResult(g, Labeling(vl, el), {})
+        edges += [(i, n + i), (i, i + 1) if i < n else (1, n)]  # pendant, then rim
+    edges += [(0, i) for i in range(1, n + 1)]  # spokes, consecutive at the hub
+    return ConstructionResult(g, _labeling(g, vl, edges, range(2 * n + 2, 5 * n + 2)), {})
 
 
 def cycle_with_chord(cycle_len: int, chord: int = 3) -> ConstructionResult:
     """Vertices 1..n in cycle order; edges n+1..2n around, chord 2n+1.
 
     ``chord`` is the 1-based cycle position joined to position 1 and must
-    satisfy 2 < chord < n.
+    satisfy 2 < chord < n.  This is ``extend_prime_hamiltonian`` on the
+    identity labeling, written out for speed.
     """
     n, k = cycle_len, chord
     g = build_family(FamilySpec("cycle_chord", n=n, k=k))
-    vl = list(range(1, n + 1))
-    el: dict[Edge, int] = {}
-    for i in range(1, n):
-        el[(i - 1, i)] = n + i
-    el[(0, n - 1)] = 2 * n
-    el[(0, k - 1)] = 2 * n + 1
-    return ConstructionResult(g, Labeling(vl, el), {"chord": k})
-
-
-def _label_cycle_and_chord(
-    g: Graph, ham: HamiltonianData, start: int
-) -> dict[Edge, int]:
-    """Label the cycle start+1..start+n from the chord base, then the chord."""
-    n = g.n
-    el: dict[Edge, int] = {}
-    cyc = ham.cycle
-    for i in range(n - 1):
-        el[_norm(cyc[i], cyc[i + 1])] = start + 1 + i
-    el[_norm(cyc[-1], cyc[0])] = start + n
-    el[_norm(*ham.chord)] = start + n + 1
-    return el
+    edges = [*zip(range(n - 1), range(1, n)), (0, n - 1), (0, k - 1)]
+    return ConstructionResult(
+        g, _labeling(g, list(range(1, n + 1)), edges, range(n + 1, 2 * n + 2)), {"chord": k}
+    )
 
 
 def extend_prime_hamiltonian(
@@ -136,13 +137,8 @@ def extend_prime_hamiltonian(
             f"vertex labeling is not prime ({len(report.violations)} violations)"
         )
     validate_hamiltonian(g, ham)
-    result = ConstructionResult(
-        g,
-        Labeling(list(prime_labels.vertex_labels), _label_cycle_and_chord(g, ham, g.n)),
-        {"cycle_start": ham.cycle[0], "chord": tuple(ham.chord)},
-    )
-    _fill_leftovers(g, result.labeling)
-    return result
+    notes = {"cycle_start": ham.cycle[0], "chord": tuple(ham.chord)}
+    return _extend(g, list(prime_labels.vertex_labels), ham, g.n, notes)
 
 
 def extend_coprime_hamiltonian(
@@ -162,15 +158,8 @@ def extend_coprime_hamiltonian(
             f"vertex labeling is not coprime ({len(report.violations)} violations)"
         )
     validate_hamiltonian(g, ham)
-    result = ConstructionResult(
-        g,
-        Labeling(
-            list(coprime_labels.vertex_labels), _label_cycle_and_chord(g, ham, bound)
-        ),
-        {"cycle_start": ham.cycle[0], "chord": tuple(ham.chord), "bound": bound},
-    )
-    _fill_leftovers(g, result.labeling)
-    return result
+    notes = {"cycle_start": ham.cycle[0], "chord": tuple(ham.chord), "bound": bound}
+    return _extend(g, list(coprime_labels.vertex_labels), ham, bound, notes)
 
 
 def snake(cycle_len: int, cycles: int) -> ConstructionResult:
@@ -181,92 +170,51 @@ def snake(cycle_len: int, cycles: int) -> ConstructionResult:
     if n < 2:
         raise InvalidParameterError("a single ring is a plain cycle; need >= 2")
     g = build_family(FamilySpec("snake", k=k, n=n))
+    edges: list[Edge] = []
+    for i in range(n):
+        a = i * (k - 1)  # ring i runs from path vertex a over a+1.. to a+k-1
+        ring = [(j, j + 1) for j in range(a, a + k - 1)]
+        if i == n - 1:
+            ring.reverse()
+        edges += [(a, a + k - 1), *ring]
     # vertex indexing follows the labeling traversal, so labels are index + 1
     vl = list(range(1, g.n + 1))
-
-    def v(i: int) -> int:
-        return (i - 1) * (k - 1)
-
-    def w(i: int, j: int) -> int:
-        return v(i) + j
-
-    el: dict[Edge, int] = {}
-    lab = n * (k - 1) + 2
-    for i in range(1, n):
-        seq = [(v(i), v(i + 1)), (v(i), w(i, 1))]
-        seq += [(w(i, j), w(i, j + 1)) for j in range(1, k - 2)]
-        seq.append((w(i, k - 2), v(i + 1)))
-        for e in seq:
-            el[_norm(*e)] = lab
-            lab += 1
-    # last ring, reversed direction
-    seq = [(v(n), v(n + 1)), (v(n + 1), w(n, k - 2))]
-    seq += [(w(n, j), w(n, j - 1)) for j in range(k - 2, 1, -1)]
-    seq.append((w(n, 1), v(n)))
-    for e in seq:
-        el[_norm(*e)] = lab
-        lab += 1
-    return ConstructionResult(g, Labeling(vl, el), {})
-
-
-def _book_as_cycle_with_chord(page_len: int) -> ConstructionResult:
-    """Two pages form a cycle of length 2k-2 with the spine as its chord."""
-    k = page_len
-    g = build_family(FamilySpec("book", k=k, n=2))
-    cyc = [0] + [2 + (j - 1) for j in range(1, k - 1)] + [1]
-    cyc += [2 + (k - 2) + (j - 1) for j in range(k - 2, 0, -1)]
-    n2 = 2 * k - 2
-    vl = [0] * g.n
-    el: dict[Edge, int] = {}
-    for pos, vtx in enumerate(cyc):
-        vl[vtx] = pos + 1
-    for i in range(n2 - 1):
-        el[_norm(cyc[i], cyc[i + 1])] = n2 + 1 + i
-    el[_norm(cyc[-1], cyc[0])] = 2 * n2
-    el[(0, 1)] = 2 * n2 + 1
-    return ConstructionResult(g, Labeling(vl, el), {"case": "two_pages", "chord": k})
+    return ConstructionResult(g, _labeling(g, vl, edges, range(g.n + 1, g.n + g.m + 1)), {})
 
 
 def book(page_len: int, pages: int) -> ConstructionResult:
     """Pages share one spine edge; edge labels run consecutively along the
     alternating page-by-page trail between the two spine vertices.
 
-    Even page length: spine vertices get 2 and 1 and the spine takes the last
-    label.  Odd page length: one spine vertex gets 1, the other the largest
-    prime p in range; the trail skips two values around p (which pair depends
-    on whether 3 divides p+1) and the spine takes the skipped non-prime.
+    Two pages form a cycle with the spine as its chord, labeled by
+    ``extend_prime_hamiltonian``.  Even page length: spine vertices get 2 and
+    1 and the spine takes the last label.  Odd page length: one spine vertex
+    gets 1, the other the largest prime p in range; the trail skips two values
+    around p (which pair depends on whether 3 divides p+1) and the spine takes
+    the skipped non-prime.
     """
     k, n = page_len, pages
+    spec = FamilySpec("book", k=k, n=n)
+    g = build_family(spec)
     if n == 2:
-        return _book_as_cycle_with_chord(k)
-    g = build_family(FamilySpec("book", k=k, n=n))
-    total = 2 * n * k - 3 * n + 3
-
-    def x(i: int, j: int) -> int:
-        return 2 + (i - 1) * (k - 2) + (j - 1)
-
-    trail: list[Edge] = []
-    for i in range(1, n + 1):
-        page = [(0, x(i, 1))]
-        page += [(x(i, j), x(i, j + 1)) for j in range(1, k - 2)]
-        page.append((x(i, k - 2), 1))
-        if i % 2 == 0:
+        ham = canonical_hamiltonian(g, spec)
+        vl = [0] * g.n
+        for pos, vtx in enumerate(ham.cycle):
+            vl[vtx] = pos + 1
+        return _extend(g, vl, ham, g.n, {"case": "two_pages", "chord": k})
+    total = g.n + g.m
+    edges: list[Edge] = []
+    for i in range(n):
+        a = 2 + i * (k - 2)  # page i runs from spine vertex 0 over a..a+k-3 to 1
+        page = [(0, a), *((j, j + 1) for j in range(a, a + k - 3)), (1, a + k - 3)]
+        if i % 2 == 1:
             page.reverse()
-        trail += page
-
-    vl = [0] * g.n
-    el: dict[Edge, int] = {}
+        edges += page
+    edges.append((0, 1))
     if k % 2 == 0:
-        vl[0], vl[1] = 2, 1
-        for i in range(1, n + 1):
-            for j in range(1, k - 1):
-                vl[x(i, j)] = (k - 2) * (i - 1) + j + 2
-        lab = n * (k - 2) + 3
-        for e in trail:
-            el[_norm(*e)] = lab
-            lab += 1
-        el[(0, 1)] = total
-        notes = {"case": "even"}
+        vl = [2, 1, *range(3, g.n + 1)]
+        values: Iterable[int] = range(n * (k - 2) + 3, total + 1)
+        notes: dict = {"case": "even"}
     else:
         p = numtheory.largest_prime_leq(total)
         # spine takes p+1 when 3 divides it, else p-1; when p+1 overflows the
@@ -282,57 +230,25 @@ def book(page_len: int, pages: int) -> ConstructionResult:
         # the labels flanking the gap stay coprime: the 3-divisibility split
         # keeps both off multiples of 3
         assert flanks is None or gcd(*flanks) == 1
-        vl[0], vl[1] = 1, p
-        for i in range(1, n + 1):
-            for j in range(1, k - 1):
-                vl[x(i, j)] = (k - 2) * (i - 1) + j + 1
+        vl = [1, p, *range(2, g.n)]
         values = [t for t in range(n * (k - 2) + 2, total + 1) if t != p and t != spine]
-        if len(values) != len(trail):
-            raise AssertionError("trail label count mismatch")
-        for e, t in zip(trail, values):
-            el[_norm(*e)] = t
-        el[(0, 1)] = spine
+        values.append(spine)
         notes = {"case": "odd", "prime": p, "spine_label": spine, "skipped": (p, spine)}
-    return ConstructionResult(g, Labeling(vl, el), notes)
+    return ConstructionResult(g, _labeling(g, vl, edges, values), notes)
 
 
 def complete(order: int) -> ConstructionResult:
-    """Vertices get 1 and the first order-1 primes; a Hamiltonian cycle plus
-    the chord to the third vertex takes the top order+1 labels."""
+    """Vertices get 1 and the first order-1 primes, a coprime labeling with
+    bound m-1; ``extend_coprime_hamiltonian`` then labels the cycle 0..n-1 and
+    the chord to the third vertex."""
     n = order
     if n < 4:
         raise InvalidParameterError("order 3 is an odd cycle; need order >= 4")
-    g = build_family(FamilySpec("complete", n=n))
+    spec = FamilySpec("complete", n=n)
+    g = build_family(spec)
+    ham = canonical_hamiltonian(g, spec)
     vl = [1] + [numtheory.nth_prime(i) for i in range(1, n)]
-    base = (n * n - n - 2) // 2
-    el: dict[Edge, int] = {}
-    for i in range(1, n):
-        el[(i - 1, i)] = base + i
-    el[(0, n - 1)] = (n * n + n) // 2 - 1
-    el[(0, 2)] = (n * n + n) // 2
-    result = ConstructionResult(g, Labeling(vl, el), {"chord": (0, 2)})
-    _fill_leftovers(g, result.labeling)
-    return result
-
-
-def _windmill_pair(n: int) -> ConstructionResult:
-    g = build_family(FamilySpec("windmill", n=n, m=2))
-    vl = [0] * g.n
-    vl[0] = 1
-    for i in range(1, n):
-        vl[i] = numtheory.nth_prime(i)
-    vl[n] = 4
-    for i in range(2, n):
-        vl[n - 1 + i] = numtheory.nth_prime(n - 2 + i)
-    el: dict[Edge, int] = {}
-    ring1 = [0] + list(range(1, n)) + [0]
-    ring2 = [0] + list(range(n, 2 * n - 1)) + [0]
-    lab = n * n - n
-    for ring in (ring1, ring2):
-        for a, b in zip(ring, ring[1:]):
-            el[_norm(a, b)] = lab
-            lab += 1
-    return ConstructionResult(g, Labeling(vl, el), {"case": "pair"})
+    return _extend(g, vl, ham, g.m - 1, {"chord": ham.chord})
 
 
 _WINDMILL_BLADE_LABELS = {
@@ -350,33 +266,14 @@ def _windmill_k6_labels(i: int) -> tuple[int, ...]:
     return (10 * i - 7, 10 * i - 5, 10 * i - 4, 10 * i - 1, 10 * i + 1)
 
 
-def _windmill_fixed(n: int, m: int) -> ConstructionResult:
-    g = build_family(FamilySpec("windmill", n=n, m=m))
-    blade = n - 1
-    trail_start = {4: 4 * m + 2, 5: 9 * m + 2, 6: 14 * m + 2}[n]
-    vl = [0] * g.n
-    vl[0] = 1
-    for i in range(1, m + 1):
-        labels = _windmill_k6_labels(i) if n == 6 else _WINDMILL_BLADE_LABELS[n](i)
-        for j, lab in enumerate(labels):
-            vl[1 + (i - 1) * blade + j] = lab
-    el: dict[Edge, int] = {}
-    lab = trail_start
-    for i in range(m):
-        walk = [0] + list(range(1 + i * blade, 1 + (i + 1) * blade)) + [0]
-        for a, b in zip(walk, walk[1:]):
-            el[_norm(a, b)] = lab
-            lab += 1
-    return ConstructionResult(g, Labeling(vl, el), {"case": f"k{n}"})
-
-
 def windmill(clique: int, copies: int, scheme: Optional[str] = None) -> ConstructionResult:
     """Copies of a clique glued at one hub, labeled along a closed trail.
 
     Two constructions exist: ``pair`` handles exactly two copies of any
     clique of size >= 4; ``k4``/``k5``/``k6`` handle any number of copies of
     those fixed clique sizes.  With ``scheme=None`` the fixed-size scheme
-    wins when both apply.
+    wins when both apply.  Both walk each blade hub -> blade in index order
+    -> hub, blade after blade, with consecutive edge labels.
     """
     n, m = clique, copies
     if n < 3 or m < 1:
@@ -396,15 +293,25 @@ def windmill(clique: int, copies: int, scheme: Optional[str] = None) -> Construc
     if scheme == "pair":
         if m != 2 or n < 4:
             raise InvalidParameterError("pair scheme needs exactly 2 copies, clique >= 4")
-        result = _windmill_pair(n)
+        primes = [numtheory.nth_prime(i) for i in range(1, 2 * n - 2)]
+        vl = [1, *primes[: n - 1], 4, *primes[n - 1:]]
+        start = n * n - n
     elif scheme in ("k4", "k5", "k6"):
         if n != int(scheme[1]):
             raise InvalidParameterError(f"scheme {scheme} needs clique {scheme[1]}")
-        result = _windmill_fixed(n, m)
+        vl = [1]
+        for i in range(1, m + 1):
+            vl += _windmill_k6_labels(i) if n == 6 else _WINDMILL_BLADE_LABELS[n](i)
+        start = {4: 4 * m + 2, 5: 9 * m + 2, 6: 14 * m + 2}[n]
     else:
         raise InvalidParameterError(f"unknown windmill scheme {scheme!r}")
-    _fill_leftovers(result.graph, result.labeling)
-    return result
+    g = build_family(FamilySpec("windmill", n=n, m=m))
+    edges: list[Edge] = []
+    for i in range(m):
+        a, b = 1 + i * (n - 1), (i + 1) * (n - 1)  # blade i is a..b
+        edges += [(0, a), *((j, j + 1) for j in range(a, b)), (0, b)]
+    values = range(start, start + len(edges))
+    return ConstructionResult(g, _labeling(g, vl, edges, values), {"case": scheme})
 
 
 _PRISM_BASE_U = (1, 4, 5, 9, 10)
@@ -414,13 +321,16 @@ _PRISM_BASE_V = (2, 3, 7, 8, 11)
 def prism(cycle_len: int) -> ConstructionResult:
     """Two stacked cycles: vertex labels repeat a block of five shifted by 12;
     when the closing pair would go even-even, the first four labels swap.
+    The labels stay below 3n, so ``extend_coprime_hamiltonian`` with bound
+    m-1 = 3n-1 labels the edges.
 
     Block values for indices past the first block always come from the
     unswapped base; the swap touches the first block only, otherwise the
     junction between blocks one and two would lose coprimality.
     """
     n = cycle_len
-    g = build_family(FamilySpec("prism", n=n))
+    spec = FamilySpec("prism", n=n)
+    g = build_family(spec)
     vl = [0] * (2 * n)
     for i in range(1, n + 1):
         block, j = divmod(i - 1, 5)
@@ -431,19 +341,8 @@ def prism(cycle_len: int) -> ConstructionResult:
     if swap:
         vl[0], vl[n] = 2, 1
         vl[1], vl[n + 1] = 3, 4
-    el: dict[Edge, int] = {}
-    cyc = list(range(n)) + list(range(2 * n - 1, n - 1, -1))
-    lab = 3 * n
-    for a, b in zip(cyc, cyc[1:]):
-        el[_norm(a, b)] = lab
-        lab += 1
-    el[_norm(cyc[-1], cyc[0])] = 5 * n - 1
-    el[(0, n - 1)] = 5 * n
-    result = ConstructionResult(
-        g, Labeling(vl, el), {"swap_applied": swap, "block_residue": residue}
-    )
-    _fill_leftovers(g, result.labeling)
-    return result
+    notes = {"swap_applied": swap, "block_residue": residue}
+    return _extend(g, vl, canonical_hamiltonian(g, spec), g.m - 1, notes)
 
 
 _RECT_BASE = ((1, 2, 3, 5), (9, 11, 7, 8))  # rows (u, v, w, x) at heights 1, 2
@@ -451,31 +350,21 @@ _RECT_BASE = ((1, 2, 3, 5), (9, 11, 7, 8))  # rows (u, v, w, x) at heights 1, 2
 
 def stacked_rect_prism(height: int) -> ConstructionResult:
     """Stack of 4-cycles: vertex labels repeat a block of two levels shifted
-    by 12; edges follow a Hamiltonian sweep up and down the four columns with
-    a chord across the bottom cycle."""
+    by 12, a coprime labeling with bound m-1; ``extend_coprime_hamiltonian``
+    then labels a Hamiltonian sweep up and down the four columns with a chord
+    across the bottom cycle."""
     n = height
     if n < 2:
         raise InvalidParameterError("stack needs height at least 2")
-    g = build_family(FamilySpec("stacked_prism", m=4, n=n))
+    spec = FamilySpec("stacked_prism", m=4, n=n)
+    g = build_family(spec)
     vl = [0] * (4 * n)
     for i in range(1, n + 1):
         block, j = divmod(i - 1, 2)
         for row in range(4):
             vl[row * n + i - 1] = 12 * block + _RECT_BASE[j][row]
-    cyc = list(range(n))                          # u column up
-    cyc += list(range(2 * n - 1, n - 1, -1))      # v column down
-    cyc += list(range(2 * n, 3 * n))              # w column up
-    cyc += list(range(4 * n - 1, 3 * n - 1, -1))  # x column down
-    el: dict[Edge, int] = {}
-    lab = 8 * n - 4
-    for a, b in zip(cyc, cyc[1:]):
-        el[_norm(a, b)] = lab
-        lab += 1
-    el[_norm(cyc[-1], cyc[0])] = 12 * n - 5
-    el[(0, n)] = 12 * n - 4
-    result = ConstructionResult(g, Labeling(vl, el), {"chord": (0, n)})
-    _fill_leftovers(g, result.labeling)
-    return result
+    ham = canonical_hamiltonian(g, spec)
+    return _extend(g, vl, ham, g.m - 1, {"chord": ham.chord})
 
 
 def bistar(left: int, right: int) -> ConstructionResult:
@@ -483,16 +372,11 @@ def bistar(left: int, right: int) -> ConstructionResult:
     edges and the bridge, even labels pair each leaf with its edge."""
     m, n = left, right
     g = build_family(FamilySpec("bistar", m=m, n=n))
-    vl = [0] * g.n
-    vl[0], vl[1] = 1, 2
-    el: dict[Edge, int] = {(0, 1): 2 * m + 3}
-    for i in range(1, m + 1):
-        vl[1 + i] = 2 * i + 2
-        el[(0, 1 + i)] = 2 * i + 1
-    for j in range(1, n + 1):
-        vl[m + 1 + j] = 2 * m + 2 * j + 3
-        el[(1, m + 1 + j)] = 2 * m + 2 * j + 2
-    return ConstructionResult(g, Labeling(vl, el), {})
+    vl = [1, 2, *range(4, 2 * m + 3, 2), *range(2 * m + 5, 2 * m + 2 * n + 4, 2)]
+    edges = [(0, v) for v in range(2, m + 2)] + [(0, 1)]
+    edges += [(1, v) for v in range(m + 2, m + n + 2)]
+    values = [*range(3, 2 * m + 4, 2), *range(2 * m + 4, 2 * m + 2 * n + 3, 2)]
+    return ConstructionResult(g, _labeling(g, vl, edges, values), {})
 
 
 def _tree_path_cover(tree: Graph) -> list[list[int]]:
@@ -552,19 +436,13 @@ def extend_prime_tree(tree: Graph, prime_labels: Labeling) -> ConstructionResult
             f"vertex labeling is not prime ({len(report.violations)} violations)"
         )
     paths = _tree_path_cover(tree)
-    el: dict[Edge, int] = {}
-    lab = tree.n + 1
-    for path in paths:
-        for a, b in zip(path, path[1:]):
-            el[_norm(a, b)] = lab
-            lab += 1
-    result = ConstructionResult(
+    edges = [_norm(a, b) for path in paths for a, b in zip(path, path[1:])]
+    values = range(tree.n + 1, tree.n + 1 + len(edges))
+    return ConstructionResult(
         tree,
-        Labeling(list(prime_labels.vertex_labels), el),
+        _labeling(tree, list(prime_labels.vertex_labels), edges, values),
         {"paths": [tuple(p) for p in paths]},
     )
-    _fill_leftovers(tree, result.labeling)
-    return result
 
 
 def _stacked_prism(spec: FamilySpec) -> ConstructionResult:

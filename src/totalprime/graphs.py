@@ -357,27 +357,29 @@ def _build_union(spec: FamilySpec) -> Graph:
     return disjoint_union([build_family(member) for member in spec.members])
 
 
+# family -> (builder, the FamilySpec fields it reads); the CLI rejects a
+# family flag whose field is not listed
 _BUILDERS = {
-    "path": _build_path,
-    "cycle": _build_cycle,
-    "star": _build_star,
-    "wheel": _build_wheel,
-    "helm": _build_helm,
-    "cycle_chord": _build_cycle_chord,
-    "snake": _build_snake,
-    "book": _build_book,
-    "complete": _build_complete,
-    "windmill": _build_windmill,
-    "friendship": _build_friendship,
-    "bistar": _build_bistar,
-    "prism": _build_prism,
-    "stacked_prism": _build_stacked_prism,
-    "grid": _build_grid,
-    "ladder": _build_ladder,
-    "path_power": _build_path_power,
-    "cycle_power": _build_cycle_power,
-    "tree": _build_tree,
-    "union": _build_union,
+    "path": (_build_path, ("n",)),
+    "cycle": (_build_cycle, ("n",)),
+    "star": (_build_star, ("n",)),
+    "wheel": (_build_wheel, ("n",)),
+    "helm": (_build_helm, ("n",)),
+    "cycle_chord": (_build_cycle_chord, ("n", "k")),
+    "snake": (_build_snake, ("n", "k")),
+    "book": (_build_book, ("n", "k")),
+    "complete": (_build_complete, ("n",)),
+    "windmill": (_build_windmill, ("n", "m")),
+    "friendship": (_build_friendship, ("m",)),
+    "bistar": (_build_bistar, ("n", "m")),
+    "prism": (_build_prism, ("n",)),
+    "stacked_prism": (_build_stacked_prism, ("n", "m")),
+    "grid": (_build_grid, ("n", "m")),
+    "ladder": (_build_ladder, ("n",)),
+    "path_power": (_build_path_power, ("n", "k")),
+    "cycle_power": (_build_cycle_power, ("n", "k")),
+    "tree": (_build_tree, ("n", "edges")),
+    "union": (_build_union, ("members",)),
 }
 
 FAMILIES = tuple(_BUILDERS)
@@ -386,7 +388,7 @@ FAMILIES = tuple(_BUILDERS)
 def build_family(spec: FamilySpec) -> Graph:
     """Construct the requested family with its documented vertex ordering."""
     try:
-        builder = _BUILDERS[spec.family]
+        builder, _ = _BUILDERS[spec.family]
     except KeyError:
         raise InvalidParameterError(f"unknown family {spec.family!r}") from None
     return builder(spec)
@@ -497,11 +499,20 @@ def _rotate_to_chord(g: Graph, cycle: list[int]) -> HamiltonianData:
 def canonical_hamiltonian(g: Graph, spec: FamilySpec) -> HamiltonianData:
     """Construction-specific Hamiltonian cycle and chord for supported families.
 
-    Supported: complete, prism, stacked_prism (height >= 2), grid/ladder with
-    an even side, path_power (k >= 2), cycle_power (k >= 2, n >= 4).  Anything
-    else raises NoCanonicalCycleError; use the search module instead.
+    Supported: cycle_chord, two-page book, complete, prism, stacked_prism
+    (height >= 2), grid/ladder with an even side, path_power (k >= 2),
+    cycle_power (k >= 2, n >= 4).  Anything else raises
+    NoCanonicalCycleError; use the search module instead.
     """
     fam = spec.family
+    if fam == "cycle_chord":
+        return _ham(g, list(range(g.n)), (0, (3 if spec.k is None else spec.k) - 1))
+
+    if fam == "book" and spec.n == 2:
+        # out along page one from spine vertex 0 to 1, back along page two
+        k = _need(spec, "k", 3)
+        return _ham(g, [0, *range(2, k), 1, *range(2 * k - 3, k - 1, -1)], (0, 1))
+
     if fam == "complete":
         if g.n < 4:
             raise NoCanonicalCycleError("complete graphs below order 4 have no chord")

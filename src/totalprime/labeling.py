@@ -172,20 +172,24 @@ def _coprime_violations(g: Graph, labeling: Labeling) -> list[Violation]:
 def verify_total_prime(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check bijectivity onto 1..n+m, edge coprimality, and incident gcds."""
     _check_shape(g, labeling, with_edges=True)
-    total = g.n + g.m
-    labels = list(labeling.vertex_labels) + [labeling.edge_labels[e] for e in g.edges]
-    subjects = list(range(g.n)) + [e for e in g.edges]
-    violations = _range_violations(labels, subjects, total, exact=True)
+    el = labeling.edge_labels
+    edge_labels = []
+    incident = [0] * g.n  # gcd of the edge labels at each vertex
+    for e in g.edges:
+        lab = el[e]
+        edge_labels.append(lab)
+        u, v = e
+        incident[u] = gcd(incident[u], lab)
+        incident[v] = gcd(incident[v], lab)
+    violations = _range_violations(
+        [*labeling.vertex_labels, *edge_labels], [*range(g.n), *g.edges], g.n + g.m, exact=True
+    )
     violations += _coprime_violations(g, labeling)
-    for v in range(g.n):
-        if g.degree(v) < 2:
-            continue
-        d = 0
-        for u in g.adjacency[v]:
-            e = (u, v) if u < v else (v, u)
-            d = gcd(d, labeling.edge_labels[e])
-        if d != 1:
-            violations.append(Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d))
+    violations += [
+        Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
+        for v, d in enumerate(incident)
+        if d != 1 and g.degree(v) >= 2
+    ]
     return VerificationReport.from_violations(violations)
 
 

@@ -178,6 +178,39 @@ class TestMalformedInput:
         assert main(["generate", *flags]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["labeling"]["edge_labels"].pop(), "edge label keys do not match"),
+            (lambda d: d["labeling"]["vertex_labels"].pop(), "6 vertex labels for order 7"),
+        ],
+    )
+    def test_export_mismatched_labeling_exit_2(self, doc, capsys, corrupt, message, fmt):
+        data = json.loads(doc.read_text())
+        corrupt(data)
+        doc.write_text(json.dumps(data))
+        assert main(["export", "--in", str(doc), "--format", fmt]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--family", "prism", "-n", "5", "--chord", "4"], "does not take --chord"),
+            (["--family", "prism", "-n", "5", "--chord", "4", "-k", "7", "-m", "9"],
+             "does not take -m, -k, --chord"),
+            (["--family", "helm", "-n", "4", "--cycles", "3,4"], "does not take --cycles"),
+            (["--family", "cycle", "-n", "4", "--edges", "[[0,1]]"], "does not take --edges"),
+            (["--family", "union", "--cycles", "3,4", "-n", "5"], "does not take -n"),
+            (["--family", "tree", "--edges", "[[0,1]]", "-k", "2"], "does not take -k"),
+            (["--family", "friendship", "-m", "2", "-n", "3"], "does not take -n"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["generate", "label"])
+    def test_unread_family_flag_exit_2(self, capsys, command, flags, named):
+        assert main([command, *flags]) == 2
+        assert named in capsys.readouterr().err
+
     def test_undecodable_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff{")

@@ -8,6 +8,7 @@ from totalprime.constructors import (
     bistar,
     book,
     complete,
+    construct,
     cycle_with_chord,
     extend_coprime_hamiltonian,
     extend_prime_hamiltonian,
@@ -430,6 +431,41 @@ class TestExtendCoprimeHamiltonian:
             extend_coprime_hamiltonian(
                 g, Labeling([2, 4, 6, 8, 10, 11]), 11, canonical_hamiltonian(g, fspec)
             )
+
+
+class TestTheoremInstances:
+    """Family constructors that are the extension theorems applied to the
+    family's own vertex labels and canonical Hamiltonian data; labelings
+    must agree exactly (notes differ by design)."""
+
+    @pytest.mark.parametrize(
+        "fspec",
+        [FamilySpec("cycle_chord", n=n, k=k) for n in range(4, 13) for k in range(3, n)]
+        + [FamilySpec("book", k=k, n=2) for k in range(3, 16)],
+        ids=lambda s: f"{s.family}-n{s.n}-k{s.k}",
+    )
+    def test_prime_extension(self, fspec):
+        g = build_family(fspec)
+        r = construct(fspec)
+        ext = extend_prime_hamiltonian(
+            g, Labeling(r.labeling.vertex_labels), canonical_hamiltonian(g, fspec)
+        )
+        assert ext.labeling == r.labeling
+
+    @pytest.mark.parametrize(
+        "fspec",
+        [FamilySpec("complete", n=n) for n in range(4, 21)]
+        + [FamilySpec("prism", n=n) for n in range(3, 31)]
+        + [FamilySpec("stacked_prism", m=4, n=n) for n in range(2, 21)],
+        ids=lambda s: f"{s.family}-n{s.n}-k{s.k}",
+    )
+    def test_coprime_extension(self, fspec):
+        g = build_family(fspec)
+        r = construct(fspec)
+        ext = extend_coprime_hamiltonian(
+            g, Labeling(r.labeling.vertex_labels), g.m - 1, canonical_hamiltonian(g, fspec)
+        )
+        assert ext.labeling == r.labeling
 
 
 class TestExtendPrimeTree:

@@ -221,6 +221,10 @@ class TestProductsAndPowers:
 
 
 HAM_SPECS = [
+    spec("cycle_chord", n=4),
+    spec("cycle_chord", n=9, k=5),
+    spec("book", k=3, n=2),
+    spec("book", k=6, n=2),
     spec("complete", n=4),
     spec("complete", n=8),
     spec("prism", n=3),
@@ -269,6 +273,13 @@ class TestCanonicalHamiltonian:
         assert ham.cycle == (0, 1, 2, 5, 4, 3)
         assert ham.chord == (0, 2)
 
+    def test_two_page_book_cycle_shape(self):
+        # out along page one (vertices 2, 3) to spine vertex 1, back along page two
+        fspec = spec("book", k=4, n=2)
+        ham = canonical_hamiltonian(build_family(fspec), fspec)
+        assert ham.cycle == (0, 2, 3, 1, 5, 4)
+        assert ham.chord == (0, 1)
+
     def test_rect_stack_cycle_shape(self):
         # columns alternate direction: first up, second down, third up, last down
         fspec = spec("stacked_prism", m=4, n=2)
@@ -287,6 +298,7 @@ class TestCanonicalHamiltonian:
             spec("path_power", n=3, k=2),
             spec("cycle_power", n=6, k=1),
             spec("stacked_prism", m=3, n=1),
+            spec("book", k=4, n=3),
         ],
     )
     def test_unsupported_raises(self, fspec):
