@@ -9,6 +9,10 @@ Subcommands:
   bounds     prime-capacity and prime-counting sanity checks
   export     render graph(+labeling) JSON as Graphviz DOT
 
+Output is single-line JSON (``python -m json.tool`` pretty-prints it), or
+DOT for ``export --format dot``.  ``--in`` reads the graph from a file and
+cannot be combined with family flags.
+
 Exit codes: 0 success, 1 verification/bound failure or nothing found,
 2 usage errors, bad parameters or malformed input documents, 3 files that
 cannot be read or decoded.
@@ -77,6 +81,14 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
 
 def _graph_from_args(args: argparse.Namespace) -> Graph:
     if getattr(args, "infile", None):
+        given = [
+            flag for flag in ("--family", *_FAMILY_FLAGS)
+            if getattr(args, flag.lstrip("-")) is not None
+        ]
+        if given:
+            raise InvalidParameterError(
+                f"--in takes the graph from {args.infile}; drop {', '.join(given)}"
+            )
         data = _read_json(args.infile)
         return Graph.from_json_dict(data.get("graph", data))
     if not args.family:
@@ -102,7 +114,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+    # no indent: indent makes json use its pure-Python encoder, several times slower
+    _emit(args, json.dumps(payload))
 
 
 def _search_config(args: argparse.Namespace) -> search_mod.SearchConfig:

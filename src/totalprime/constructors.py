@@ -26,9 +26,9 @@ showcase instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import numtheory
 from .errors import (
@@ -52,11 +52,10 @@ from .graphs import (
 from .labeling import Labeling, verify_coprime, verify_prime
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     graph: Graph
     labeling: Labeling
-    notes: dict = field(default_factory=dict)
+    notes: Mapping = MappingProxyType({})
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -81,7 +80,7 @@ def _extend(
 ) -> ConstructionResult:
     """The extension step: the closed cycle takes start+1..start+n from its
     first vertex on, the chord start+n+1, the other edges what is left."""
-    cyc = ham.cycle
+    cyc = tuple(ham.cycle)
     edges = [_norm(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
     edges.append(_norm(*ham.chord))
     values = range(start + 1, start + g.n + 2)

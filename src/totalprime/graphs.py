@@ -10,9 +10,8 @@ builder passes its roles in at construction.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvalidHamiltonianDataError,
@@ -28,26 +27,49 @@ Edge = tuple[int, int]
 RoleMap = dict[str, Union[int, list[int]]]
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     Edges may be given in any orientation and order; construction stores
     them canonically (``u < v``, sorted) and rejects self-loops, duplicates
-    and out-of-range endpoints.
+    and out-of-range endpoints.  Graphs are immutable; equality compares
+    ``n``, ``edges`` and ``roles`` (``adjacency`` is derived from the edges).
     """
+
+    __slots__ = ("n", "edges", "roles", "adjacency")
 
     n: int
     edges: tuple[Edge, ...]
-    roles: RoleMap = field(default_factory=dict)
-    adjacency: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    roles: RoleMap
+    adjacency: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        edges, adjacency = _index_edges(self.n, self.edges)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adjacency", adjacency)
+    def __init__(
+        self, n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None
+    ) -> None:
+        edges, adjacency = _index_edges(n, edges)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "edges", edges)
+        init(self, "roles", {} if roles is None else roles)
+        init(self, "adjacency", adjacency)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Graph")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges, self.roles) == (other.n, other.edges, other.roles)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, edges={self.edges!r}, roles={self.roles!r})"
+
+    # pickle and copy rebuild through __init__, since assignment is refused
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.roles)
 
     @property
     def m(self) -> int:
@@ -146,8 +168,7 @@ def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] 
     return Graph(n, edges, dict(roles or {}))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Tagged family name plus its integer parameters.
 
     Which parameters are read depends on the family: ``n`` is the main size,
@@ -444,21 +465,20 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
     return make_graph(offset, edges, roles)
 
 
-@dataclass(frozen=True)
-class HamiltonianData:
+class HamiltonianData(NamedTuple):
     """A Hamiltonian cycle plus one chord based at the cycle's first vertex.
 
-    ``cycle`` is a permutation of the vertices; consecutive entries (and the
-    wrap-around pair) are adjacent.  ``chord`` is a non-cycle edge with one
-    endpoint at ``cycle[0]``.
+    ``cycle`` is a permutation of the vertices, as any sequence; consecutive
+    entries (and the wrap-around pair) are adjacent.  ``chord`` is a
+    non-cycle edge with one endpoint at ``cycle[0]``.
     """
 
-    cycle: tuple[int, ...]
+    cycle: Sequence[int]
     chord: Edge
 
 
 def validate_hamiltonian(g: Graph, ham: HamiltonianData) -> None:
-    cyc = ham.cycle
+    cyc = tuple(ham.cycle)
     if g.n < 3 or sorted(cyc) != list(range(g.n)):
         raise InvalidHamiltonianDataError("cycle is not a permutation of the vertices")
     for a, b in zip(cyc, cyc[1:] + (cyc[0],)):

@@ -14,9 +14,9 @@ edge condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import BoundTooSmallError, InvalidParameterError, SizeMismatchError
 from .graphs import Edge, Graph
@@ -26,8 +26,7 @@ ADJACENT_NOT_COPRIME = "adjacent_not_coprime"
 INCIDENT_SHARED_FACTOR = "incident_shared_factor"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken constraint.
 
     ``kind`` is one of the module constants.  ``vertices`` are the involved
@@ -55,15 +54,15 @@ class Violation:
         return out
 
 
-@dataclass
-class Labeling:
+class Labeling(NamedTuple):
     """Vertex labels by index plus an edge -> label mapping.
 
-    Vertex-only labelings (prime / coprime) leave ``edge_labels`` empty.
+    Vertex-only labelings (prime / coprime) leave ``edge_labels`` empty; the
+    default is a read-only empty mapping, shared by every such labeling.
     """
 
     vertex_labels: list[int]
-    edge_labels: dict[Edge, int] = field(default_factory=dict)
+    edge_labels: Mapping[Edge, int] = MappingProxyType({})
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,8 +105,7 @@ class Labeling:
         return cls(list(vertex_labels), edge_labels)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     violations: list[Violation]
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Iterable, Optional
+from itertools import chain, compress, islice
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     EmptyInputError,
@@ -66,7 +65,7 @@ class PrimeTable:
                 flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
         self.flags = flags
         self.limit = new_limit
-        self.primes = [i for i in range(2, new_limit + 1) if flags[i]]
+        self.primes = list(compress(range(new_limit + 1), flags))
 
     def ensure_limit(self, x: int) -> None:
         if x <= self.limit:
@@ -156,8 +155,7 @@ def is_prime(x: int) -> bool:
     return shared_table().is_prime(x)
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """Outcome of the label-capacity sweep.
 
     ``failure`` carries the first ``(n, description)`` counterexample; it is

@@ -45,10 +45,9 @@ shuffle seed is set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from math import gcd, isqrt
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, NotFoundWithinBoundError
 from .graphs import Edge, FamilySpec, Graph, build_family
@@ -62,29 +61,67 @@ INFEASIBLE = "infeasible"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Budgets and knobs; results are deterministic for a fixed config.
 
     ``symmetry_breaking`` pins the smallest vertex label to vertex 0, which
     is sound only for vertex-transitive inputs (cycles, complete graphs); the
-    caller is responsible for that judgement.
+    caller is responsible for that judgement.  Configs are immutable.
     """
 
-    node_budget: int = 100_000_000
-    time_budget: Optional[float] = None
-    symmetry_breaking: bool = False
-    randomize: Optional[int] = None
+    __slots__ = ("node_budget", "time_budget", "symmetry_breaking", "randomize")
 
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0:
+    node_budget: int
+    time_budget: Optional[float]
+    symmetry_breaking: bool
+    randomize: Optional[int]
+
+    def __init__(
+        self,
+        node_budget: int = 100_000_000,
+        time_budget: Optional[float] = None,
+        symmetry_breaking: bool = False,
+        randomize: Optional[int] = None,
+    ) -> None:
+        if node_budget <= 0:
             raise InvalidParameterError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if time_budget is not None and time_budget <= 0:
             raise InvalidParameterError("time budget must be positive")
+        init = object.__setattr__
+        init(self, "node_budget", node_budget)
+        init(self, "time_budget", time_budget)
+        init(self, "symmetry_breaking", symmetry_breaking)
+        init(self, "randomize", randomize)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SearchConfig")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable SearchConfig")
+
+    def _key(self) -> tuple:
+        return (self.node_budget, self.time_budget, self.symmetry_breaking, self.randomize)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SearchConfig(node_budget={self.node_budget!r}, time_budget={self.time_budget!r}, "
+            f"symmetry_breaking={self.symmetry_breaking!r}, randomize={self.randomize!r})"
+        )
+
+    # pickle and copy rebuild through __init__, since assignment is refused
+    def __reduce__(self):
+        return SearchConfig, self._key()
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str
     labeling: Optional[Labeling]
     nodes_explored: int
@@ -640,8 +677,7 @@ def find_coprime(
     return _run(_VertexEngine(g, cfg, bound), started)
 
 
-@dataclass
-class MinimumCoprimeResult:
+class MinimumCoprimeResult(NamedTuple):
     status: str
     value: Optional[int]
     labeling: Optional[Labeling]
@@ -673,7 +709,7 @@ def minimum_coprime_number(
             return MinimumCoprimeResult(
                 BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
             )
-        bound_cfg = replace(cfg, node_budget=remaining, time_budget=time_left)
+        bound_cfg = SearchConfig(remaining, time_left, cfg.symmetry_breaking, cfg.randomize)
         outcome = find_coprime(g, bound, bound_cfg)
         nodes_total += outcome.nodes_explored
         elapsed = time.perf_counter() - started
@@ -690,8 +726,7 @@ def minimum_coprime_number(
     )
 
 
-@dataclass(frozen=True)
-class OddCountCertificate:
+class OddCountCertificate(NamedTuple):
     """Parity-counting verdict for a graph of given order unioned with
     ``copies`` disjoint triangles.
 

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import totalprime
 from totalprime.cli import main
+from totalprime.constructors import construct
+from totalprime.graphs import FamilySpec
 
 
 def run(capsys, *argv):
@@ -211,10 +218,73 @@ class TestMalformedInput:
         assert main([command, *flags]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--family", "prism", "-n", "9"], "drop --family, -n"),
+            (["-m", "2", "-k", "3", "--chord", "3"], "drop -m, -k, --chord"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["generate"], ["search", "--total-prime"], ["mcn"]],
+        ids=["generate", "search", "mcn"],
+    )
+    def test_family_flags_with_in_exit_2(self, doc, capsys, command, flags, named):
+        assert main([*command, "--in", str(doc), *flags]) == 2
+        assert named in capsys.readouterr().err
+
     def test_undecodable_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff{")
         assert main(["verify", "--in", str(path)]) == 3
+
+
+# children import the package the tests import, wherever it lives
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(totalprime.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+    ),
+)
+
+
+def child(*args):
+    """Run a fresh interpreter on ``args``."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+
+
+class TestChildProcess:
+    def test_label_verify_round_trip(self, tmp_path):
+        path = tmp_path / "prism30.json"
+        proc = child("-m", "totalprime.cli", "label", "--family", "prism", "-n", "30",
+                     "--out", str(path))
+        assert proc.returncode == 0, proc.stderr
+        text = path.read_text()
+        assert len(text.splitlines()) == 1
+        result = construct(FamilySpec("prism", n=30))
+        expected = {
+            "graph": result.graph.to_json_dict(),
+            "labeling": result.labeling.to_json_dict(),
+            "notes": result.notes,
+        }
+        assert json.loads(text) == json.loads(json.dumps(expected))
+
+        proc = child("-m", "totalprime.cli", "verify", "--in", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1
+        assert json.loads(proc.stdout) == {"valid": True, "violations": []}
+
+    def test_import_loads_no_dataclasses(self):
+        proc = child(
+            "-c",
+            "import sys; before = set(sys.modules); import totalprime.cli; "
+            "print('dataclasses' in set(sys.modules) - before)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSearchCommand:

@@ -373,6 +373,15 @@ class TestExtendPrimeHamiltonian:
         }
         assert_total_prime(r.graph, r.labeling, "square+chord extension")
 
+    @pytest.mark.parametrize("cycle", [[0, 1, 2, 3, 4], range(5)], ids=["list", "range"])
+    def test_any_sequence_cycle_same_as_tuple(self, cycle):
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+        lab = Labeling([1, 2, 3, 4, 5])
+        r = extend_prime_hamiltonian(g, lab, HamiltonianData(cycle, (0, 2)))
+        tupled = extend_prime_hamiltonian(g, lab, HamiltonianData((0, 1, 2, 3, 4), (0, 2)))
+        assert r.labeling == tupled.labeling
+        assert_total_prime(r.graph, r.labeling, "sequence-cycle extension")
+
     def test_ladder_via_search(self):
         fspec = FamilySpec("ladder", n=3)
         g = build_family(fspec)

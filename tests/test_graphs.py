@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +51,37 @@ class TestGraphBasics:
         g = build_family(spec("helm", n=4))
         again = Graph.from_json_dict(g.to_json_dict())
         assert again == g
+
+    def test_equality_compares_fields_not_edge_order(self):
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)], {"hub": 1})
+        assert g == Graph(4, [(3, 2), (2, 1), (1, 0)], {"hub": 1})
+        assert g != Graph(4, g.edges)
+        assert g != (g.n, g.edges, g.roles)
+        assert repr(g) == "Graph(n=4, edges=((0, 1), (1, 2), (2, 3)), roles={'hub': 1})"
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (make_graph(3, [(0, 1)]), "n"),
+            (make_graph(3, [(0, 1)]), "adjacency"),
+            (FamilySpec("prism", n=5), "n"),
+        ],
+    )
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 4)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    def test_family_spec_repr(self):
+        assert repr(FamilySpec("prism", n=5)) == (
+            "FamilySpec(family='prism', n=5, m=None, k=None, edges=None, members=None)"
+        )
+
+    def test_graph_pickles_and_copies(self):
+        g = build_family(spec("helm", n=4))
+        for again in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert again == g and again.adjacency == g.adjacency
 
     def test_components(self):
         g = build_family(

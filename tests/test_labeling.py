@@ -157,3 +157,10 @@ class TestLabelingJson:
         again = Labeling.from_json_dict(lab.to_json_dict())
         assert again.vertex_labels == lab.vertex_labels
         assert again.edge_labels == lab.edge_labels
+
+    def test_vertex_only_default_is_read_only(self):
+        lab = Labeling([1, 2])
+        assert lab == Labeling([1, 2], {}) and lab.to_json_dict()["edge_labels"] == []
+        with pytest.raises(TypeError):
+            lab.edge_labels[(0, 1)] = 3
+        assert Labeling([3, 4]).edge_labels == {}

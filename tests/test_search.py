@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from math import gcd
 
 import pytest
@@ -280,6 +281,17 @@ class TestSearchConfig:
             SearchConfig(node_budget=0)
         with pytest.raises(InvalidParameterError):
             SearchConfig(time_budget=0.0)
+
+    def test_config_is_an_immutable_value(self):
+        cfg = SearchConfig(node_budget=50, randomize=3)
+        with pytest.raises(AttributeError):
+            cfg.node_budget = 0
+        assert cfg == SearchConfig(50, None, False, 3) != SearchConfig(50)
+        assert hash(cfg) == hash(SearchConfig(50, None, False, 3))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert repr(cfg) == (
+            "SearchConfig(node_budget=50, time_budget=None, symmetry_breaking=False, randomize=3)"
+        )
 
     def test_outcome_json_shape(self):
         out = find_total_prime(cycle(4))
