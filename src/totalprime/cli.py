@@ -105,12 +105,14 @@ def _read_json(path: str) -> dict:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
@@ -162,8 +164,14 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_json(args.infile)
-    graph = Graph.from_json_dict(data.get("graph"))
-    labeling = Labeling.from_json_dict(data.get("labeling"))
+    missing = [repr(key) for key in ("graph", "labeling") if key not in data]
+    if missing:
+        raise InvalidParameterError(
+            f"{args.infile} has no {' or '.join(missing)} field; verify reads"
+            " graph JSON with its labeling, as tpl label writes"
+        )
+    graph = Graph.from_json_dict(data["graph"])
+    labeling = Labeling.from_json_dict(data["labeling"])
     report = verify_total_prime(graph, labeling)
     _emit_json(args, report.to_json_dict())
     return 0 if report.valid else 1

@@ -109,12 +109,6 @@ class PrimeTable:
         self.ensure_limit(x)
         return self.primes[bisect_right(self.primes, x) - 1]
 
-    def is_prime(self, x: int) -> bool:
-        if x < 2:
-            return False
-        self.ensure_limit(x)
-        return bool(self.flags[x])
-
 
 _shared: Optional[PrimeTable] = None
 
@@ -149,10 +143,6 @@ def prime_count(x: float) -> int:
     if x < 0:
         raise InvalidParameterError("prime_count expects x >= 0")
     return shared_table().count_leq(x)
-
-
-def is_prime(x: int) -> bool:
-    return shared_table().is_prime(x)
 
 
 class CapacityReport(NamedTuple):

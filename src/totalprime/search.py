@@ -25,10 +25,12 @@ Pruning:
   labels share the factor 2), and one odd edge can serve two such vertices
   only when it joins them directly, which bounds the odd edge labels still
   required from below.  A branch dies when the total remaining demand
-  exceeds the unused odd labels, or a class has fewer open slots than its
-  remaining demand.  The edge bound is kept as state: the counts of
-  uncovered vertices and of unassigned edges joining two of them change
-  only when an edge is labeled, and are updated there in place.
+  exceeds the unused odd labels.  The edge bound is kept as state: the
+  counts of uncovered vertices and of unassigned edges joining two of them
+  change only when an edge is labeled, and are updated there in place.
+  The edge demand never exceeds the unassigned edges: an uncovered vertex
+  keeps an unassigned incident edge, since the last-edge rule forces its
+  last edge odd, so the unassigned edges cover every uncovered vertex.
 * forest parity placement: on forests, the even labels still to be placed
   must fit an independent set of unassigned vertices with no even-labeled
   neighbor; the maximum such set is computed exactly by leaf-stripping.
@@ -171,8 +173,7 @@ def _component_requirements(g: Graph):
         for v in comp:
             comp_of[v] = cid
     reqs = [len(comp) - _independence_number(g, comp) for comp in comps]
-    sizes = [len(comp) for comp in comps]
-    return reqs, sizes, comp_of
+    return reqs, comp_of
 
 
 def _forest_independence(adjacency, eligible: list[bool]) -> int:
@@ -311,14 +312,12 @@ class _Engine:
         self.deadline = (
             time.perf_counter() + cfg.time_budget if cfg.time_budget else None
         )
-        reqs, sizes, comp_of = _component_requirements(g)
+        reqs, comp_of = _component_requirements(g)
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
-        self.vopen = sizes
         self.vdeficit = sum(reqs)
         self.vertex_class = comp_of
         self.odds_left = (limit + 1) // 2
-        self.vorder = _vertex_order(g)
 
     def spend(self) -> None:
         self.nodes += 1
@@ -356,22 +355,20 @@ class _Engine:
             trail.append(blocked[u])
             blocked[u] |= conflict
             labeled_nbrs[u] += 1
-        cls = self.vertex_class[v]
-        self.vopen[cls] -= 1
         if val & 1:
+            cls = self.vertex_class[v]
             self.odds_left -= 1
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit -= 1
             self.vodd[cls] += 1
 
     def unplace_vertex(self, v: int, val: int) -> None:
-        cls = self.vertex_class[v]
         if val & 1:
+            cls = self.vertex_class[v]
             self.vodd[cls] -= 1
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit += 1
             self.odds_left += 1
-        self.vopen[cls] += 1
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
@@ -381,16 +378,13 @@ class _Engine:
         self.vlab[v] = 0
         self.free ^= 1 << val
 
-    def vertex_classes_open(self, cls: int) -> bool:
-        return self.vreq[cls] - self.vodd[cls] <= self.vopen[cls]
-
 
 class _VertexEngine(_Engine):
     """Injective vertex labeling into 1..limit with coprime adjacency."""
 
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
         super().__init__(g, cfg, limit)
-        self.is_forest = g.m == g.n - len(g.components())
+        self.is_forest = g.m == g.n - len(self.vreq)
 
     def _even_placement_ok(self, unassigned: int) -> bool:
         """On forests: the evens still forced onto vertices must fit an
@@ -433,8 +427,6 @@ class _VertexEngine(_Engine):
     def run(self) -> bool:
         if self.vdeficit > self.odds_left:
             return False
-        if any(r > s for r, s in zip(self.vreq, self.vopen)):
-            return False
         return self._assign(0)
 
     def _assign(self, count: int) -> bool:
@@ -443,13 +435,11 @@ class _VertexEngine(_Engine):
         v, allowed = self._pick_vertex()
         if not allowed:
             return False
-        cls = self.vertex_class[v]
         for val in self.vertex_values(v, allowed):
             self.spend()
             self.place_vertex(v, val)
             if (
                 self.vdeficit <= self.odds_left
-                and self.vertex_classes_open(cls)
                 and (not self.is_forest or self._even_placement_ok(self.g.n - count - 1))
                 and self._assign(count + 1)
             ):
@@ -518,6 +508,7 @@ class _TotalEngine(_Engine):
 
     def __init__(self, g: Graph, cfg: SearchConfig):
         super().__init__(g, cfg, g.n + g.m)
+        self.vorder = _vertex_order(g)
         index_of = {e: i for i, e in enumerate(g.edges)}
         eorder: list[int] = []
         listed = set()
@@ -541,34 +532,23 @@ class _TotalEngine(_Engine):
         if d2 != self.internal:
             self.pools.append(_CoverPool(g, d2))
         self.need = max(pool.need() for pool in self.pools)
-        self.unassigned_edges = g.m
 
     def feasible(self) -> bool:
         """The odd labels left must cover the odd vertex labels and the odd
         edge labels still required; vertex placements never move ``need``."""
-        need = self.need
-        return self.vdeficit + need <= self.odds_left and need <= self.unassigned_edges
+        return self.vdeficit + self.need <= self.odds_left
 
     def run(self) -> bool:
-        if not self.feasible():
-            return False
-        if any(r > s for r, s in zip(self.vreq, self.vopen)):
-            return False
-        return self._assign_vertex(0)
+        return self.feasible() and self._assign_vertex(0)
 
     def _assign_vertex(self, i: int) -> bool:
         if i == self.g.n:
             return self._assign_edge(0)
         v = self.vorder[i]
-        cls = self.vertex_class[v]
         for val in self.vertex_values(v, self.free & ~self.blocked[v]):
             self.spend()
             self.place_vertex(v, val)
-            if (
-                self.vertex_classes_open(cls)
-                and self.feasible()
-                and self._assign_vertex(i + 1)
-            ):
+            if self.feasible() and self._assign_vertex(i + 1):
                 return True
             self.unplace_vertex(v, val)
         return False
@@ -599,7 +579,6 @@ class _TotalEngine(_Engine):
             egcd[v] = gcd(old_v, val)
             pending[u] -= 1
             pending[v] -= 1
-            self.unassigned_edges -= 1
             odd = val & 1
             need = self.need
             for pool in pools:
@@ -618,7 +597,6 @@ class _TotalEngine(_Engine):
             for pool in pools:
                 pool.count_edge(ei, u, v, odd, 1, elab, odd_inc)
             self.need = need
-            self.unassigned_edges += 1
             pending[u] += 1
             pending[v] += 1
             egcd[u], egcd[v] = old_u, old_v
@@ -657,11 +635,7 @@ def find_total_prime(g: Graph, cfg: Optional[SearchConfig] = None) -> SearchOutc
 
 def find_prime(g: Graph, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
     """Decide prime labelability (vertex bijection onto 1..n)."""
-    cfg = cfg or SearchConfig()
-    started = time.perf_counter()
-    if g.n == 0:
-        return SearchOutcome(FOUND, Labeling([], {}), 0, 0.0)
-    return _run(_VertexEngine(g, cfg, g.n), started)
+    return find_coprime(g, g.n, cfg)
 
 
 def find_coprime(

@@ -70,6 +70,13 @@ class TestLabelVerifyExport:
         # and the re-exported file still verifies
         assert run(capsys, "verify", "--in", str(out_path))[0] == 0
 
+    def test_out_file_matches_stdout(self, tmp_path, capsys):
+        path = tmp_path / "helm4.json"
+        run(capsys, "label", "--family", "helm", "-n", "4", "--out", str(path))
+        _, out = run(capsys, "label", "--family", "helm", "-n", "4")
+        assert path.read_text().endswith("\n")
+        assert path.read_text() == out
+
     def test_generate_echoes_existing_graph(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         run(capsys, "generate", "--family", "prism", "-n", "5", "--out", str(path))
@@ -162,6 +169,7 @@ class TestMalformedInput:
             ("generate", lambda d: d["graph"]["edges"].__setitem__(0, [0]), "edge [0]"),
             ("verify", lambda d: d["labeling"].pop("vertex_labels"), "vertex_labels"),
             ("verify", lambda d: d.pop("graph"), "graph JSON"),
+            ("verify", lambda d: d.pop("labeling"), "has no 'labeling' field"),
             ("verify", lambda d: d["labeling"]["edge_labels"].insert(0, [[1, 0], 99]),
              "edge_labels[1]"),
         ],
@@ -172,6 +180,12 @@ class TestMalformedInput:
         doc.write_text(json.dumps(data))
         assert main([command, "--in", str(doc)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_verify_bare_graph_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c5.json"
+        run(capsys, "generate", "--family", "cycle", "-n", "5", "--out", str(path))
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "has no 'graph' or 'labeling' field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -1,7 +1,6 @@
 """The family registry: ``construct``, the soundness grid and the gallery."""
 
 import hashlib
-import json
 import runpy
 from pathlib import Path
 
@@ -13,17 +12,14 @@ from totalprime.errors import InvalidParameterError, UnsupportedCaseError
 ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of the sorted, concatenated per-instance sha256 digests of
-# [graph JSON, labeling JSON, notes]; constructor output is byte-identical
-# while this holds
+# [graph JSON, labeling JSON, notes], taken in conftest.grid_sweep;
+# constructor output is byte-identical while this holds
 GRID_DIGEST = "eb425f871e32b93214c3516e2377b7b3e7219d88224a0e8648c0adcc9aea3723"
 
 
-def test_grid_snapshot():
-    digests = []
-    for inst in soundness_grid():
-        result = construct(inst.spec, inst.scheme)
-        doc = [result.graph.to_json_dict(), result.labeling.to_json_dict(), result.notes]
-        digests.append(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
+def test_grid_snapshot(grid_sweep):
+    records, _ = grid_sweep
+    digests = [record.digest for record in records]
     assert len(digests) == 22_200
     assert hashlib.sha256("".join(sorted(digests)).encode()).hexdigest() == GRID_DIGEST
 

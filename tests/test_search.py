@@ -316,6 +316,13 @@ def complete(n):
     return build_family(FamilySpec("complete", n=n))
 
 
+# a tree whose prime search runs through the forest parity placement rule
+FOREST_EDGES = (
+    (0, 6), (1, 3), (1, 7), (2, 5), (2, 6), (2, 7), (2, 9), (2, 12),
+    (3, 14), (4, 14), (5, 11), (6, 10), (8, 11), (8, 13),
+)
+
+
 # Status and node count of fixed searches.  The engines are deterministic for
 # a fixed config, so a change in pruning or in variable or value order shows
 # here as a changed count.
@@ -351,6 +358,21 @@ NODE_PINS = [
     pytest.param(
         lambda: find_coprime(build_family(FamilySpec("cycle_power", n=8, k=3)), 11),
         FOUND, 8, id="C8 cube coprime",
+    ),
+    pytest.param(
+        lambda: find_prime(build_family(FamilySpec("tree", n=15, edges=FOREST_EDGES))),
+        FOUND, 2_636, id="15-tree prime",
+    ),
+    pytest.param(
+        lambda: minimum_coprime_number(cycle_union(3, 3, 5), 30),
+        FOUND, 11, id="C3+C3+C5 mcn",
+    ),
+    pytest.param(
+        lambda: find_total_prime(cycle_union(4, 4)), FOUND, 176, id="C4+C4 total",
+    ),
+    # each C5 needs 3 odd labels and 1..16 holds 8: refused at the root
+    pytest.param(
+        lambda: find_coprime(cycle_union(5, 5, 5), 16), EXHAUSTED, 0, id="3C5 coprime",
     ),
 ]
 
