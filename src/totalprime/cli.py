@@ -13,9 +13,13 @@ Output is single-line JSON (``python -m json.tool`` pretty-prints it), or
 DOT for ``export --format dot``.  ``--in`` reads the graph from a file and
 cannot be combined with family flags.
 
-Exit codes: 0 success, 1 verification/bound failure or nothing found,
-2 usage errors, bad parameters or malformed input documents, 3 files that
-cannot be read or decoded.
+Exit codes: 0 success; 1 when ``verify`` finds a violation, ``bounds`` a
+failed check, ``mcn`` no labeling up to ``--k-max`` (every bound exhausted,
+or a budget spent) or ``label`` no friendship labeling within its budget;
+2 usage errors, bad parameters or malformed input documents; 3 files that
+cannot be read or decoded.  ``search`` exits 0 whatever it decides and
+reports the outcome as ``status`` in its JSON.  Only ``label --family
+friendship`` searches, so ``label`` takes the search flags for it alone.
 """
 
 from __future__ import annotations
@@ -152,6 +156,15 @@ def _cmd_label(args: argparse.Namespace) -> int:
             graph, outcome.labeling, {"via": "search"}
         )
     else:
+        given = [
+            flag for flag in _SEARCH_FLAGS
+            if getattr(args, flag[2:].replace("-", "_")) is not None
+        ]
+        if given:
+            raise InvalidParameterError(
+                f"family {args.family} is constructed, not searched;"
+                f" it does not take {', '.join(given)}"
+            )
         result = constructors.construct(spec)
     payload = {
         "graph": result.graph.to_json_dict(),
@@ -250,10 +263,14 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("--edges", help="JSON edge list (tree)")
 
 
+_SEARCH_FLAGS = ("--node-budget", "--time-budget", "--symmetry-breaking", "--seed")
+
+
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node-budget", type=int, default=None)
     parser.add_argument("--time-budget", type=float, default=None)
-    parser.add_argument("--symmetry-breaking", action="store_true")
+    # None when not given, like the other search flags
+    parser.add_argument("--symmetry-breaking", action="store_true", default=None)
     parser.add_argument("--seed", type=int, default=None)
 
 

@@ -8,10 +8,11 @@ Representation: label sets are Python ints used as bitsets, bit x standing
 for label x.  A table of conflict masks (bit y of the mask of x is set when
 gcd(x, y) > 1) is built on first use, grown when a larger label limit is
 asked for and kept at module level; smaller limits mask it down.  The
-engines keep a ``free`` mask of unused labels and, per vertex, a
+engines keep a ``free`` mask of unused labels and, per unlabeled vertex, a
 ``blocked`` mask: the union of the conflict masks of its labeled neighbors,
-updated when a vertex is labeled and restored from a trail when the label
-is taken back.  A vertex's domain is ``free & ~blocked[v]``.
+updated when a neighbor is labeled and restored from a trail when the label
+is taken back.  A vertex's domain is ``free & ~blocked[v]``; candidate
+values are read off its set bits.
 
 Pruning:
 
@@ -34,6 +35,15 @@ Pruning:
 * forest parity placement: on forests, the even labels still to be placed
   must fit an independent set of unassigned vertices with no even-labeled
   neighbor; the maximum such set is computed exactly by leaf-stripping.
+
+Checks before a placement: a value counts as a node when it is tried, but
+a check whose outcome the current state already decides runs before
+``place_vertex`` rewrites the neighbors' masks.  The odd-label count is one
+(an even vertex label leaves it unchanged, an odd one breaks it exactly
+when the vertex's class has its odd labels and none is spare), in both
+engines; in the vertex engine, so is a value that would empty the domain of
+an unlabeled neighbor, which the child's choice of vertex would find.  The
+forest rule and the edge-phase checks run after the label is placed.
 
 Variable order: vertex-only searches pick the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
@@ -212,11 +222,16 @@ def _forest_independence(adjacency, eligible: list[bool]) -> int:
     return alpha
 
 
-def _value_order(limit: int, seed: Optional[int]) -> list[int]:
+def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
+    """Each value's place in the seeded shuffle of 1..limit (None: ascending)."""
+    if seed is None:
+        return None
     values = list(range(1, limit + 1))
-    if seed is not None:
-        Random(seed).shuffle(values)
-    return values
+    Random(seed).shuffle(values)
+    rank = [0] * (limit + 1)
+    for place, val in enumerate(values):
+        rank[val] = place
+    return rank
 
 
 # Conflict masks up to the largest label limit asked for so far, built on
@@ -291,17 +306,19 @@ def _vertex_order(g: Graph) -> list[int]:
 class _Engine:
     """Shared state for the vertex and total searches.
 
-    ``free`` has bit x set while label x is unused; ``blocked[v]`` has bit x
-    set when x shares a prime with the label of some labeled neighbor of v,
-    so the values v may still take are ``free & ~blocked[v]``.
-    ``labeled_nbrs`` breaks ties in the vertex engine's choice of vertex.
+    ``free`` has bit x set while label x is unused; for unlabeled v,
+    ``blocked[v]`` has bit x set when x shares a prime with the label of some
+    labeled neighbor of v, so the values v may still take are
+    ``free & ~blocked[v]``.  ``labeled_nbrs`` counts those neighbors and
+    breaks ties in the vertex engine's choice of vertex.  A placement leaves
+    both alone at its labeled neighbors, which never read them.
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
+    def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
         self.g = g
         self.cfg = cfg
         self.limit = limit
-        self.values = _value_order(limit, cfg.randomize)
+        self.rank = _value_rank(limit, cfg.randomize)
         self.conflict = _conflict_masks(limit)
         self.free = (2 << limit) - 2
         self.blocked = [0] * g.n
@@ -312,7 +329,7 @@ class _Engine:
         self.deadline = (
             time.perf_counter() + cfg.time_budget if cfg.time_budget else None
         )
-        reqs, comp_of = _component_requirements(g)
+        reqs, comp_of = requirements or _component_requirements(g)
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
@@ -329,7 +346,14 @@ class _Engine:
 
     def values_in(self, mask: int) -> list[int]:
         """The values whose bits are set in ``mask``, in try order."""
-        return [val for val in self.values if mask >> val & 1]
+        values = []
+        while mask:
+            low = mask & -mask
+            values.append(low.bit_length() - 1)
+            mask ^= low
+        if self.rank is not None:
+            values.sort(key=self.rank.__getitem__)
+        return values
 
     def vertex_values(self, v: int, allowed: int) -> list[int]:
         """The values of ``allowed`` (a mask) in try order, less those that
@@ -344,17 +368,26 @@ class _Engine:
                 values = [val for val in values if val >= vlab[0]]
         return values
 
+    def odd_values_fail(self, v: int, need: int = 0) -> bool:
+        """Whether an odd label at v breaks the odd-label count: it does when
+        v's class already has its odd vertex labels and none is spare.  Even
+        labels leave the count as it was, and the count held before v."""
+        cls = self.vertex_class[v]
+        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + need == self.odds_left
+
     def place_vertex(self, v: int, val: int) -> None:
         self.free ^= 1 << val
-        self.vlab[v] = val
+        vlab = self.vlab
+        vlab[v] = val
         conflict = self.conflict[val]
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
         for u in self.g.adjacency[v]:
-            trail.append(blocked[u])
-            blocked[u] |= conflict
-            labeled_nbrs[u] += 1
+            if not vlab[u]:
+                trail.append(blocked[u])
+                blocked[u] |= conflict
+                labeled_nbrs[u] += 1
         if val & 1:
             cls = self.vertex_class[v]
             self.odds_left -= 1
@@ -372,18 +405,20 @@ class _Engine:
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
+        vlab = self.vlab
         for u in reversed(self.g.adjacency[v]):
-            blocked[u] = trail.pop()
-            labeled_nbrs[u] -= 1
-        self.vlab[v] = 0
+            if not vlab[u]:
+                blocked[u] = trail.pop()
+                labeled_nbrs[u] -= 1
+        vlab[v] = 0
         self.free ^= 1 << val
 
 
 class _VertexEngine(_Engine):
     """Injective vertex labeling into 1..limit with coprime adjacency."""
 
-    def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
-        super().__init__(g, cfg, limit)
+    def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
+        super().__init__(g, cfg, limit, requirements)
         self.is_forest = g.m == g.n - len(self.vreq)
 
     def _even_placement_ok(self, unassigned: int) -> bool:
@@ -435,14 +470,24 @@ class _VertexEngine(_Engine):
         v, allowed = self._pick_vertex()
         if not allowed:
             return False
+        odd_fails = self.odd_values_fail(v)
+        # a value that empties the domain of an unlabeled neighbor fails in
+        # the child's _pick_vertex before it spends a node, so it is refused
+        # here before place_vertex rewrites the neighbors' masks
+        free, blocked, vlab = self.free, self.blocked, self.vlab
+        domains = [free & ~blocked[u] for u in self.g.adjacency[v] if not vlab[u]]
+        conflict = self.conflict
         for val in self.vertex_values(v, allowed):
             self.spend()
+            if val & 1 and odd_fails:
+                continue
+            keep = ~(conflict[val] | 1 << val)
+            if not all(map(keep.__and__, domains)):
+                continue
             self.place_vertex(v, val)
             if (
-                self.vdeficit <= self.odds_left
-                and (not self.is_forest or self._even_placement_ok(self.g.n - count - 1))
-                and self._assign(count + 1)
-            ):
+                not self.is_forest or self._even_placement_ok(self.g.n - count - 1)
+            ) and self._assign(count + 1):
                 return True
             self.unplace_vertex(v, val)
         return False
@@ -545,10 +590,13 @@ class _TotalEngine(_Engine):
         if i == self.g.n:
             return self._assign_edge(0)
         v = self.vorder[i]
+        odd_fails = self.odd_values_fail(v, self.need)
         for val in self.vertex_values(v, self.free & ~self.blocked[v]):
             self.spend()
+            if val & 1 and odd_fails:
+                continue
             self.place_vertex(v, val)
-            if self.feasible() and self._assign_vertex(i + 1):
+            if self._assign_vertex(i + 1):
                 return True
             self.unplace_vertex(v, val)
         return False
@@ -644,11 +692,16 @@ def find_coprime(
     """Decide coprime labelability with labels drawn from 1..bound."""
     if bound < g.n:
         raise InvalidParameterError("bound below vertex count")
-    cfg = cfg or SearchConfig()
+    return _find_coprime(g, bound, cfg or SearchConfig())
+
+
+def _find_coprime(g: Graph, bound: int, cfg: SearchConfig, requirements=None) -> SearchOutcome:
+    """find_coprime with the engine's bound-free set-up (the per-component odd
+    demands and the vertex->class map) passed in when the caller has it."""
     started = time.perf_counter()
     if g.n == 0:
         return SearchOutcome(FOUND, Labeling([], {}), 0, 0.0)
-    return _run(_VertexEngine(g, cfg, bound), started)
+    return _run(_VertexEngine(g, cfg, bound, requirements), started)
 
 
 class MinimumCoprimeResult(NamedTuple):
@@ -673,6 +726,7 @@ def minimum_coprime_number(
         raise InvalidParameterError("k_max below vertex count")
     cfg = cfg or SearchConfig()
     started = time.perf_counter()
+    requirements = _component_requirements(g)  # the same for every bound
     nodes_total = 0
     for bound in range(g.n, k_max + 1):
         remaining = cfg.node_budget - nodes_total
@@ -684,7 +738,7 @@ def minimum_coprime_number(
                 BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
             )
         bound_cfg = SearchConfig(remaining, time_left, cfg.symmetry_breaking, cfg.randomize)
-        outcome = find_coprime(g, bound, bound_cfg)
+        outcome = _find_coprime(g, bound, bound_cfg, requirements)
         nodes_total += outcome.nodes_explored
         elapsed = time.perf_counter() - started
         if outcome.status == FOUND:

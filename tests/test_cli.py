@@ -140,7 +140,8 @@ class TestLabelVerifyExport:
         assert message in capsys.readouterr().err
 
     def test_friendship_goes_through_search(self, capsys):
-        code, out = run(capsys, "label", "--family", "friendship", "-m", "2")
+        code, out = run(capsys, "label", "--family", "friendship", "-m", "2",
+                        "--seed", "3", "--node-budget", "5000")
         assert code == 0
         assert json.loads(out)["notes"] == {"via": "search"}
 
@@ -230,6 +231,20 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["generate", "label"])
     def test_unread_family_flag_exit_2(self, capsys, command, flags, named):
         assert main([command, *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--node-budget", "5", "--seed", "3"], "does not take --node-budget, --seed"),
+            (["--seed", "0"], "does not take --seed"),
+            (["--time-budget", "1", "--symmetry-breaking"],
+             "does not take --time-budget, --symmetry-breaking"),
+        ],
+    )
+    def test_label_search_flags_exit_2(self, capsys, flags, named):
+        # only friendship graphs are labeled by search
+        assert main(["label", "--family", "prism", "-n", "5", *flags]) == 2
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import pickle
+import random
 from math import gcd
 
 import pytest
@@ -381,6 +384,84 @@ NODE_PINS = [
 def test_node_count_pins(call, status, nodes):
     out = call()
     assert (out.status, out.nodes_explored) == (status, nodes)
+
+
+# place_vertex calls of three searches.  A value that fails a check already
+# decided before placement (the odd-label count, an emptied neighbor domain)
+# is refused without being placed, so a change that places it again shows
+# here as a higher count, with the node counts unchanged.
+PLACEMENT_PINS = [
+    pytest.param(
+        lambda: find_prime(grid(5, 5), SearchConfig(node_budget=10_000)),
+        4_311, id="grid 5x5 prime",
+    ),
+    pytest.param(
+        lambda: find_total_prime(snake(3, 3).graph, SearchConfig(node_budget=30_000)),
+        3_156, id="snake 3x3 total",
+    ),
+    pytest.param(
+        lambda: minimum_coprime_number(complete(7), 28, SearchConfig(node_budget=30_000)),
+        11_434, id="K7 mcn",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, placements", PLACEMENT_PINS)
+def test_placement_pins(monkeypatch, call, placements):
+    placed = []
+    place_vertex = search._Engine.place_vertex
+
+    def counted(engine, v, val):
+        placed.append(v)
+        place_vertex(engine, v, val)
+
+    monkeypatch.setattr(search._Engine, "place_vertex", counted)
+    call()
+    assert len(placed) == placements
+
+
+def _outcome_sweep():
+    """Status, node count and labeling of 600 seeded calls on random graphs
+    with at most 10 vertices, over every search entry point and config knob."""
+    rng = random.Random(2026)
+    records = []
+    for i in range(600):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        g = make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                           if rng.random() < p])
+        kind = ("total", "prime", "coprime", "mcn")[i % 4]
+        cfg = SearchConfig(
+            node_budget=rng.choice((50, 500, 5000)),
+            symmetry_breaking=rng.random() < 0.3,
+            randomize=rng.choice((None, rng.randrange(1000))),
+        )
+        if kind == "total":
+            out = find_total_prime(g, cfg)
+        elif kind == "prime":
+            out = find_prime(g, cfg)
+        elif kind == "coprime":
+            out = find_coprime(g, n + rng.randint(0, 3), cfg)
+        else:
+            try:
+                out = minimum_coprime_number(g, n + rng.randint(0, 4), cfg)
+            except NotFoundWithinBoundError:
+                records.append([kind, "not_found"])
+                continue
+        record = [kind, out.status, out.nodes_explored]
+        if kind == "mcn":
+            record.append(out.value)
+        if out.labeling is not None:
+            record.append(out.labeling.to_json_dict())
+        records.append(record)
+    return records
+
+
+def test_outcome_digest():
+    # taken on the engine that placed every value before checking it: a check
+    # that only skips work the search would throw away leaves every outcome
+    digest = hashlib.sha256(json.dumps(_outcome_sweep()).encode()).hexdigest()
+    assert digest == "d3ebfd6ec40f2b3ad9918b95d5ce7be0f9b6a5007c278f09e6f724dae7928620"
 
 
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
