@@ -42,13 +42,21 @@ _FAMILY_FLAGS = {
 }
 
 
+def _given(args: argparse.Namespace, flags) -> list[str]:
+    """The flags among ``flags`` set on the command line."""
+    return [
+        flag for flag in flags
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None
+    ]
+
+
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     family = args.family.replace("-", "_")
     if family in _BUILDERS:  # an unknown family is left to the builder's error
         reads = _BUILDERS[family][1]
         unread = [
-            flag for flag, fld in _FAMILY_FLAGS.items()
-            if getattr(args, flag.lstrip("-")) is not None and fld not in reads
+            flag for flag in _given(args, _FAMILY_FLAGS)
+            if _FAMILY_FLAGS[flag] not in reads
         ]
         if unread:
             raise InvalidParameterError(
@@ -85,10 +93,7 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
 
 def _graph_from_args(args: argparse.Namespace) -> Graph:
     if getattr(args, "infile", None):
-        given = [
-            flag for flag in ("--family", *_FAMILY_FLAGS)
-            if getattr(args, flag.lstrip("-")) is not None
-        ]
+        given = _given(args, ("--family", *_FAMILY_FLAGS))
         if given:
             raise InvalidParameterError(
                 f"--in takes the graph from {args.infile}; drop {', '.join(given)}"
@@ -156,10 +161,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
             graph, outcome.labeling, {"via": "search"}
         )
     else:
-        given = [
-            flag for flag in _SEARCH_FLAGS
-            if getattr(args, flag[2:].replace("-", "_")) is not None
-        ]
+        given = _given(args, _SEARCH_FLAGS)
         if given:
             raise InvalidParameterError(
                 f"family {args.family} is constructed, not searched;"
@@ -263,15 +265,18 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("--edges", help="JSON edge list (tree)")
 
 
-_SEARCH_FLAGS = ("--node-budget", "--time-budget", "--symmetry-breaking", "--seed")
+# each search flag and its argparse settings; every one is None when not given
+_SEARCH_FLAGS = {
+    "--node-budget": {"type": int},
+    "--time-budget": {"type": float},
+    "--symmetry-breaking": {"action": "store_true", "default": None},
+    "--seed": {"type": int},
+}
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node-budget", type=int, default=None)
-    parser.add_argument("--time-budget", type=float, default=None)
-    # None when not given, like the other search flags
-    parser.add_argument("--symmetry-breaking", action="store_true", default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for flag, settings in _SEARCH_FLAGS.items():
+        parser.add_argument(flag, **settings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -692,16 +692,11 @@ def find_coprime(
     """Decide coprime labelability with labels drawn from 1..bound."""
     if bound < g.n:
         raise InvalidParameterError("bound below vertex count")
-    return _find_coprime(g, bound, cfg or SearchConfig())
-
-
-def _find_coprime(g: Graph, bound: int, cfg: SearchConfig, requirements=None) -> SearchOutcome:
-    """find_coprime with the engine's bound-free set-up (the per-component odd
-    demands and the vertex->class map) passed in when the caller has it."""
+    cfg = cfg or SearchConfig()
     started = time.perf_counter()
     if g.n == 0:
         return SearchOutcome(FOUND, Labeling([], {}), 0, 0.0)
-    return _run(_VertexEngine(g, cfg, bound, requirements), started)
+    return _run(_VertexEngine(g, cfg, bound), started)
 
 
 class MinimumCoprimeResult(NamedTuple):
@@ -738,7 +733,9 @@ def minimum_coprime_number(
                 BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
             )
         bound_cfg = SearchConfig(remaining, time_left, cfg.symmetry_breaking, cfg.randomize)
-        outcome = _find_coprime(g, bound, bound_cfg, requirements)
+        outcome = _run(
+            _VertexEngine(g, bound_cfg, bound, requirements), time.perf_counter()
+        )
         nodes_total += outcome.nodes_explored
         elapsed = time.perf_counter() - started
         if outcome.status == FOUND:

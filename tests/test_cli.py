@@ -140,8 +140,13 @@ class TestLabelVerifyExport:
         assert message in capsys.readouterr().err
 
     def test_friendship_goes_through_search(self, capsys):
+        code, out = run(capsys, "label", "--family", "friendship", "-m", "2")
+        assert code == 0
+        assert json.loads(out)["notes"] == {"via": "search"}
+
+    def test_friendship_takes_search_flags(self, capsys):
         code, out = run(capsys, "label", "--family", "friendship", "-m", "2",
-                        "--seed", "3", "--node-budget", "5000")
+                        "--seed", "3", "--node-budget", "5000", "--symmetry-breaking")
         assert code == 0
         assert json.loads(out)["notes"] == {"via": "search"}
 
