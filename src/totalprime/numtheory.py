@@ -185,6 +185,8 @@ def check_prime_counting_bounds(limit: int) -> tuple[bool, bool]:
     gap while ``x / ln x`` grows, so only the last ``x`` of each gap is
     checked.  Returns ``(pi_ok, bertrand_ok)``.
     """
+    if limit < 2:
+        raise InvalidParameterError("prime-counting check starts at x = 2")
     table = shared_table()
     table.ensure_limit(limit)
     count = bisect_right(table.primes, limit)

@@ -45,6 +45,33 @@ engines; in the vertex engine, so is a value that would empty the domain of
 an unlabeled neighbor, which the child's choice of vertex would find.  The
 forest rule and the edge-phase checks run after the label is placed.
 
+Exhausted states: the vertex engine keeps one table per engine (one per
+``find_prime``/``find_coprime`` call, one per bound of
+``minimum_coprime_number``; nothing is kept across calls) from a state key
+to the nodes spent by a subtree searched from that state to exhaustion.
+When a key comes back, the recorded count is added to ``nodes`` and the
+subtree is not searched again; a count that passes ``node_budget`` stops
+the search exactly where ``spend()`` would have, and a hit also checks the
+deadline.  Only a subtree that returned no labeling after spending at least
+one node is stored: every placement below it was undone, so the state at
+its exit is the state at its entry.  Keys are built and looked up only once
+the table holds an entry, so a search that never fails builds none.  Node
+counts, statuses and labelings are those of the search without the table.
+
+The key packs fields of ``limit + 1`` bits: ``free``; each class's count of
+odd vertex labels; per vertex in index order 1 when labeled, else
+``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
+set, so it cannot be taken for a labeled one.  Everything the subtree reads
+follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
+from the labeled set; ``odds_left``, the odd bits of ``free``;
+``vdeficit``, from the odd counts; the neighbor-wipeout check;
+``place_vertex``'s updates, since blocked labels that are no longer free
+stay out of every later domain; the forest rule's eligibility, as bit 2 of
+``blocked[v]`` is set exactly when v has an even-labeled neighbor; and
+symmetry breaking, which keeps vertex 0's label below every other label, so
+that the label it compares against (vertex 0's, or the smallest elsewhere
+while vertex 0 is unlabeled) is the smallest label not in ``free``.
+
 Variable order: vertex-only searches pick the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
 which keeps backtracking shallow even on 50-vertex trees.  The combined
@@ -97,7 +124,8 @@ class SearchConfig:
     ) -> None:
         if node_budget <= 0:
             raise InvalidParameterError("node budget must be positive")
-        if time_budget is not None and time_budget <= 0:
+        # written so that NaN, which compares False both ways, is refused
+        if time_budget is not None and not time_budget > 0:
             raise InvalidParameterError("time budget must be positive")
         init = object.__setattr__
         init(self, "node_budget", node_budget)
@@ -420,6 +448,8 @@ class _VertexEngine(_Engine):
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
         super().__init__(g, cfg, limit, requirements)
         self.is_forest = g.m == g.n - len(self.vreq)
+        # state key -> nodes spent by a subtree searched to exhaustion from it
+        self.exhausted: dict[int, int] = {}
 
     def _even_placement_ok(self, unassigned: int) -> bool:
         """On forests: the evens still forced onto vertices must fit an
@@ -437,6 +467,31 @@ class _VertexEngine(_Engine):
                 continue
             eligible[v] = True
         return _forest_independence(g.adjacency, eligible) >= evens_needed
+
+    def _state_key(self) -> int:
+        """The current state's key; the module docstring says what it packs
+        and why that is all the subtree below it reads."""
+        width = self.limit + 1
+        free = self.free
+        key = free
+        for odd in self.vodd:
+            key = key << width | odd
+        seen = free | 4
+        blocked = self.blocked
+        vlab = self.vlab
+        for v in range(self.g.n):
+            key = key << width | (1 if vlab[v] else blocked[v] & seen)
+        return key
+
+    def _replay(self, spent: int) -> None:
+        """Count an exhausted subtree's nodes again without searching it,
+        stopping where spend() would have."""
+        self.nodes += spent
+        if self.nodes > self.cfg.node_budget:
+            self.nodes = self.cfg.node_budget + 1
+            raise _OutOfBudget
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise _OutOfBudget
 
     def _pick_vertex(self) -> tuple[int, int]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
@@ -470,6 +525,15 @@ class _VertexEngine(_Engine):
         v, allowed = self._pick_vertex()
         if not allowed:
             return False
+        exhausted = self.exhausted
+        key = None
+        if exhausted:  # a search that never fails builds no key
+            key = self._state_key()
+            spent = exhausted.get(key)
+            if spent is not None:
+                self._replay(spent)
+                return False
+        start = self.nodes
         odd_fails = self.odd_values_fail(v)
         # a value that empties the domain of an unlabeled neighbor fails in
         # the child's _pick_vertex before it spends a node, so it is refused
@@ -490,6 +554,9 @@ class _VertexEngine(_Engine):
             ) and self._assign(count + 1):
                 return True
             self.unplace_vertex(v, val)
+        if self.nodes > start:
+            # every placement is undone, so the state is the one at entry
+            exhausted[self._state_key() if key is None else key] = self.nodes - start
         return False
 
     def labeling(self) -> Labeling:

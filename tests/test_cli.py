@@ -205,6 +205,18 @@ class TestMalformedInput:
         assert main(["generate", *flags]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bounds", "--pi-limit", "-5"], "prime-counting check starts at x = 2"),
+            (["search", "--prime", "--family", "cycle", "-n", "4", "--time-budget", "nan"],
+             "time budget must be positive"),
+        ],
+    )
+    def test_out_of_range_number_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["dot", "json"])
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -319,6 +331,18 @@ class TestChildProcess:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_loads_stdlib_only(self):
+        # the library stays stdlib-only: every top-level module the CLI
+        # import brings in is the package itself or part of the stdlib
+        proc = child(
+            "-c",
+            "import sys; before = set(sys.modules); import totalprime.cli; "
+            "tops = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(sorted(tops - set(sys.stdlib_module_names) - {'totalprime'}))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSearchCommand:

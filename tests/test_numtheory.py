@@ -153,3 +153,9 @@ def test_prime_counting_sweep_matches_every_x_reference():
             elif x >= 4 and 2 * last_prime <= x:
                 bertrand_ok = False
         assert check_prime_counting_bounds(x) == (pi_ok, bertrand_ok), x
+
+
+@pytest.mark.parametrize("limit", [1, 0, -5])
+def test_prime_counting_sweep_rejects_limits_below_two(limit):
+    with pytest.raises(InvalidParameterError):
+        check_prime_counting_bounds(limit)

@@ -285,6 +285,11 @@ class TestSearchConfig:
         with pytest.raises(InvalidParameterError):
             SearchConfig(time_budget=0.0)
 
+    def test_nan_time_budget_rejected(self):
+        # NaN compares False both ways, so it would set a deadline that never passes
+        with pytest.raises(InvalidParameterError):
+            SearchConfig(time_budget=float("nan"))
+
     def test_config_is_an_immutable_value(self):
         cfg = SearchConfig(node_budget=50, randomize=3)
         with pytest.raises(AttributeError):
@@ -388,12 +393,14 @@ def test_node_count_pins(call, status, nodes):
 
 # place_vertex calls of three searches.  A value that fails a check already
 # decided before placement (the odd-label count, an emptied neighbor domain)
-# is refused without being placed, so a change that places it again shows
-# here as a higher count, with the node counts unchanged.
+# is refused without being placed, and a vertex-engine state whose subtree
+# was already searched to exhaustion is replayed from the table without
+# placing anything, so a change that places them again shows here as a
+# higher count, with the node counts unchanged.
 PLACEMENT_PINS = [
     pytest.param(
         lambda: find_prime(grid(5, 5), SearchConfig(node_budget=10_000)),
-        4_311, id="grid 5x5 prime",
+        1_871, id="grid 5x5 prime",
     ),
     pytest.param(
         lambda: find_total_prime(snake(3, 3).graph, SearchConfig(node_budget=30_000)),
@@ -401,7 +408,7 @@ PLACEMENT_PINS = [
     ),
     pytest.param(
         lambda: minimum_coprime_number(complete(7), 28, SearchConfig(node_budget=30_000)),
-        11_434, id="K7 mcn",
+        1_508, id="K7 mcn",
     ),
 ]
 
@@ -462,6 +469,125 @@ def test_outcome_digest():
     # that only skips work the search would throw away leaves every outcome
     digest = hashlib.sha256(json.dumps(_outcome_sweep()).encode()).hexdigest()
     assert digest == "d3ebfd6ec40f2b3ad9918b95d5ce7be0f9b6a5007c278f09e6f724dae7928620"
+
+
+# --- the vertex engine's table of exhausted states ----------------------------
+
+class _NoTable(dict):
+    """A table of exhausted states that never stores, so nothing is replayed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _vertex_outcome(call):
+    """Status, nodes, MCN value and labeling of ``call()``."""
+    try:
+        out = call()
+    except NotFoundWithinBoundError:
+        return "not_found"
+    labeling = out.labeling.to_json_dict() if out.labeling is not None else None
+    return out.status, out.nodes_explored, getattr(out, "value", None), labeling
+
+
+def _without_table(call):
+    init = search._VertexEngine.__init__
+
+    def init_without_table(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engine.exhausted = _NoTable()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._VertexEngine, "__init__", init_without_table)
+        return _vertex_outcome(call)
+
+
+@st.composite
+def vertex_calls(draw):
+    """A prime, coprime or MCN call on a graph with at most 10 vertices, with
+    a seed, symmetry breaking and a budget small enough to trip in a replay."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = make_graph(n, edges)
+    cfg = SearchConfig(
+        node_budget=draw(st.integers(1, 3000)),
+        symmetry_breaking=draw(st.booleans()),
+        randomize=draw(st.none() | st.integers(0, 999)),
+    )
+    kind = draw(st.sampled_from(("prime", "coprime", "mcn")))
+    slack = draw(st.integers(0, 4))
+    if kind == "prime":
+        return lambda: find_prime(g, cfg)
+    if kind == "coprime":
+        return lambda: find_coprime(g, n + slack, cfg)
+    return lambda: minimum_coprime_number(g, n + slack, cfg)
+
+
+@st.composite
+def reordered_states(draw):
+    """A graph, a label limit, some vertices, labels for them and the same
+    labels in another order."""
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = make_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    limit = n + draw(st.integers(0, 3))
+    labeled = draw(st.lists(st.sampled_from(range(n)), unique=True, min_size=1, max_size=n - 1))
+    labels = draw(st.permutations(range(1, limit + 1)))[: len(labeled)]
+    return g, limit, labeled, labels, draw(st.permutations(labels))
+
+
+# every even label is used and 1, 2 trade places: only bit 2 tells which of
+# vertices 0 and 4 has an even-labeled neighbor
+@example((make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]), 7,
+          [1, 3, 2, 5, 6], [1, 2, 5, 4, 6], [2, 1, 5, 4, 6]))
+@given(reordered_states())
+@settings(max_examples=150, deadline=None)
+def test_state_key_fixes_what_the_subtree_reads(case):
+    # when two states' keys agree, so must everything the search reads
+    g, limit, labeled, labels, reordered = case
+
+    def reads(labels):
+        engine = search._VertexEngine(g, SearchConfig(), limit)
+        for v, label in zip(labeled, labels):
+            engine.place_vertex(v, label)
+        vlab = engine.vlab
+        unlabeled = [v for v in range(g.n) if not vlab[v]]
+        even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
+        domains = [engine.free & ~engine.blocked[v] for v in unlabeled]
+        state = (domains, even_nbr, engine.vodd, engine.vdeficit, engine.odds_left)
+        return engine._state_key(), state
+
+    key, state = reads(labels)
+    other_key, other_state = reads(reordered)
+    if key == other_key:
+        assert state == other_state
+
+
+@given(vertex_calls())
+@settings(max_examples=150, deadline=None)
+def test_table_keeps_outcomes(call):
+    assert _vertex_outcome(call) == _without_table(call)
+
+
+def test_table_keeps_budget_outcomes():
+    # K6 MCN takes 3,255 nodes; budgets that trip at every depth of the search
+    def call(budget):
+        return lambda: minimum_coprime_number(complete(6), 24, SearchConfig(node_budget=budget))
+
+    for budget in [*range(1, 3255, 51), 3254, 3255]:
+        assert _vertex_outcome(call(budget)) == _without_table(call(budget)), budget
+
+
+def test_time_budget_trips_among_replays(monkeypatch):
+    # K7 has no coprime labeling into 1..12: 10,584 nodes, of which fewer
+    # than 1,024 are searched, the rest replayed, so the deadline is checked
+    # by the replays
+    clock = itertools.count()
+    monkeypatch.setattr(search.time, "perf_counter", lambda: float(next(clock)))
+    out = find_coprime(complete(7), 12, SearchConfig(time_budget=5.0))
+    assert out.status == BUDGET_EXCEEDED
+    assert out.nodes_explored < 10_584
 
 
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
