@@ -21,7 +21,8 @@ Pruning:
 * the last edge at a degree->=2 vertex must be coprime to the gcd of the
   labels already on its other edges, one more conflict mask;
 * odd-label counting: even vertex labels form an independent set, so each
-  component needs at least (order - independence number) odd vertex labels;
+  component needs at least (order - independence number) odd vertex labels
+  (exact up to 30 vertices, none asked of a larger component);
   every vertex of degree >= 2 needs an odd incident edge (all-even incident
   labels share the factor 2), and one odd edge can serve two such vertices
   only when it joins them directly, which bounds the odd edge labels still
@@ -34,7 +35,14 @@ Pruning:
   last edge odd, so the unassigned edges cover every uncovered vertex.
 * forest parity placement: on forests, the even labels still to be placed
   must fit an independent set of unassigned vertices with no even-labeled
-  neighbor; the maximum such set is computed exactly by leaf-stripping.
+  neighbor.  Eligibility is read off ``blocked``, whose bit 2 is set exactly
+  when v has an even-labeled neighbor.  The largest such set comes from one
+  greedy pass up a breadth-first spanning forest, built once per engine
+  beside the class demands (once per ``minimum_coprime_number`` call): a
+  vertex is taken when it is eligible and none of its children was, which
+  is exact on a forest.  The same pass with every vertex eligible gives the
+  independence number of a tree component for odd-label counting; other
+  components get it by branching.
 
 Checks before a placement: a value counts as a node when it is tried, but
 a check whose outcome the current state already decides runs before
@@ -55,8 +63,12 @@ the search exactly where ``spend()`` would have, and a hit also checks the
 deadline.  Only a subtree that returned no labeling after spending at least
 one node is stored: every placement below it was undone, so the state at
 its exit is the state at its entry.  Keys are built and looked up only once
-the table holds an entry, so a search that never fails builds none.  Node
-counts, statuses and labelings are those of the search without the table.
+the table holds an entry, so a search that never fails builds none; the
+choice of vertex builds the key in the scan it makes anyway.  The table is
+cleared when it holds ``_TABLE_CAP`` entries, so memory stays bounded on
+long searches; a dropped state is searched again and spends the nodes its
+replay would have added.  Node counts, statuses and labelings are those of
+the search without the table.
 
 The key packs fields of ``limit + 1`` bits: ``free``; each class's count of
 odd vertex labels; per vertex in index order 1 when labeled, else
@@ -183,9 +195,7 @@ class _OutOfBudget(Exception):
 
 
 def _independence_number(g: Graph, comp: list[int]) -> int:
-    """Exact maximum independent set size for small components."""
-    if len(comp) > 30:
-        return len(comp)  # give up on the bound; stays sound
+    """Exact maximum independent set size of a component, by branching."""
     adj = {v: set(g.adjacency[v]) & set(comp) for v in comp}
 
     def rec(active: frozenset) -> int:
@@ -203,51 +213,65 @@ def _independence_number(g: Graph, comp: list[int]) -> int:
     return rec(frozenset(comp))
 
 
+def _forest_independent_set(bottom_up, parent, vlab, blocked) -> list[int]:
+    """A maximum independent set of the forest induced on the vertices that
+    are unlabeled and have no even-labeled neighbor (bit 2 of ``blocked``),
+    in one greedy pass: a vertex is taken when it is eligible and none of its
+    children was.  ``bottom_up`` lists each vertex after its children in the
+    spanning forest given by ``parent``."""
+    child_taken = [False] * len(parent)
+    taken = []
+    for v in bottom_up:
+        if not vlab[v] and not blocked[v] & 4 and not child_taken[v]:
+            child_taken[parent[v]] = True
+            taken.append(v)
+    return taken
+
+
 def _component_requirements(g: Graph):
-    """Per-component odd vertex-label demands and the vertex->class map."""
-    comps = g.components()
-    comp_of = [0] * g.n
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
-    reqs = [len(comp) - _independence_number(g, comp) for comp in comps]
-    return reqs, comp_of
+    """Per-component odd vertex-label demands, the vertex->class map, and a
+    breadth-first spanning forest for ``_forest_independent_set``: its
+    vertices listed so that each follows its children, and each vertex's
+    parent (a root is its own).
 
-
-def _forest_independence(adjacency, eligible: list[bool]) -> int:
-    """Exact maximum independent set on an induced forest by leaf-stripping."""
-    n = len(eligible)
-    active = [bool(e) for e in eligible]
-    deg = [0] * n
-    stack = []
-    remaining = 0
-    for v in range(n):
-        if active[v]:
-            remaining += 1
-            deg[v] = sum(1 for u in adjacency[v] if eligible[u])
-            if deg[v] <= 1:
-                stack.append(v)
-    alpha = 0
-    while remaining:
-        if not stack:  # cannot happen on a forest, guard anyway
-            break
-        v = stack.pop()
-        if not active[v]:
+    A component needs at least (order - independence number) odd labels.
+    The independence number is exact up to 30 vertices: from the greedy pass
+    over the spanning forest on a tree, by branching on any other component.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    comp_of = [-1] * n
+    parent = list(range(n))
+    order: list[int] = []
+    comps = []
+    for root in range(n):
+        if comp_of[root] >= 0:
             continue
-        alpha += 1
-        active[v] = False
-        remaining -= 1
-        for u in adjacency[v]:
-            if active[u]:  # drop the unique active neighbor of the leaf
-                active[u] = False
-                remaining -= 1
-                for w in adjacency[u]:
-                    if active[w]:
-                        deg[w] -= 1
-                        if deg[w] <= 1:
-                            stack.append(w)
-                break
-    return alpha
+        comp_of[root] = len(comps)
+        comp = [root]
+        for x in comp:  # breadth first: comp grows as it is read
+            for y in adjacency[x]:
+                if comp_of[y] < 0:
+                    comp_of[y] = len(comps)
+                    parent[y] = x
+                    comp.append(y)
+        comps.append(comp)
+        order += comp
+    bottom_up = order[::-1]
+    nothing = [0] * n
+    tree_alpha = [0] * len(comps)
+    for v in _forest_independent_set(bottom_up, parent, nothing, nothing):
+        tree_alpha[comp_of[v]] += 1
+    reqs = []
+    for cid, comp in enumerate(comps):
+        if len(comp) > 30:
+            alpha = len(comp)  # give up on the bound; stays sound
+        elif sum(map(g.degree, comp)) == 2 * len(comp) - 2:
+            alpha = tree_alpha[cid]
+        else:
+            alpha = _independence_number(g, comp)
+        reqs.append(len(comp) - alpha)
+    return reqs, comp_of, bottom_up, parent
 
 
 def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
@@ -261,6 +285,12 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
         rank[val] = place
     return rank
 
+
+# Entries the vertex engine's table of exhausted states holds before it is
+# cleared (see the module docstring).  An entry takes about 240 bytes on grid
+# 6x6, so the table stays under about 4 MB there; the largest table on the
+# search_deep benchmark holds 3,481.
+_TABLE_CAP = 16_384
 
 # Conflict masks up to the largest label limit asked for so far, built on
 # first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
@@ -357,7 +387,9 @@ class _Engine:
         self.deadline = (
             time.perf_counter() + cfg.time_budget if cfg.time_budget else None
         )
-        reqs, comp_of = requirements or _component_requirements(g)
+        reqs, comp_of, self.bottom_up, self.parent = (
+            requirements or _component_requirements(g)
+        )
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
@@ -455,18 +487,9 @@ class _VertexEngine(_Engine):
         """On forests: the evens still forced onto vertices must fit an
         independent set of unassigned vertices with no even neighbor."""
         evens_needed = unassigned - self.odds_left
-        if evens_needed <= 0:
-            return True
-        g = self.g
-        vlab = self.vlab
-        eligible = [False] * g.n
-        for v in range(g.n):
-            if vlab[v]:
-                continue
-            if any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]):
-                continue
-            eligible[v] = True
-        return _forest_independence(g.adjacency, eligible) >= evens_needed
+        return evens_needed <= 0 or len(
+            _forest_independent_set(self.bottom_up, self.parent, self.vlab, self.blocked)
+        ) >= evens_needed
 
     def _state_key(self) -> int:
         """The current state's key; the module docstring says what it packs
@@ -493,26 +516,41 @@ class _VertexEngine(_Engine):
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
 
-    def _pick_vertex(self) -> tuple[int, int]:
+    def _pick_vertex(self) -> tuple[int, int, Optional[int]]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
-        index), with its domain as a mask; stops early at an empty domain."""
+        index), with its domain as a mask, and, while the table holds an
+        entry, the state key, built in the same scan; stops early at an
+        empty domain, leaving the key unfinished."""
         free = self.free
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         vlab = self.vlab
+        width = self.limit + 1
+        keyed = bool(self.exhausted)
+        key = None
+        if keyed:  # the fields _state_key packs, in the same order
+            key = free
+            for odd in self.vodd:
+                key = key << width | odd
+            seen = free | 4
         best, best_allowed = -1, 0
-        best_size, best_nbrs = self.limit + 1, 0
+        best_size, best_nbrs = width, 0
         for v in range(self.g.n):
             if vlab[v]:
+                if keyed:
+                    key = key << width | 1
                 continue
-            allowed = free & ~blocked[v]
+            mask = blocked[v]
+            if keyed:
+                key = key << width | mask & seen
+            allowed = free & ~mask
             size = allowed.bit_count()
             if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
                 best, best_allowed = v, allowed
                 best_size, best_nbrs = size, labeled_nbrs[v]
                 if size == 0:
                     break
-        return best, best_allowed
+        return best, best_allowed, key
 
     def run(self) -> bool:
         if self.vdeficit > self.odds_left:
@@ -522,13 +560,11 @@ class _VertexEngine(_Engine):
     def _assign(self, count: int) -> bool:
         if count == self.g.n:
             return True
-        v, allowed = self._pick_vertex()
+        v, allowed, key = self._pick_vertex()
         if not allowed:
             return False
         exhausted = self.exhausted
-        key = None
-        if exhausted:  # a search that never fails builds no key
-            key = self._state_key()
+        if key is not None:
             spent = exhausted.get(key)
             if spent is not None:
                 self._replay(spent)
@@ -556,6 +592,8 @@ class _VertexEngine(_Engine):
             self.unplace_vertex(v, val)
         if self.nodes > start:
             # every placement is undone, so the state is the one at entry
+            if len(exhausted) >= _TABLE_CAP:
+                exhausted.clear()
             exhausted[self._state_key() if key is None else key] = self.nodes - start
         return False
 

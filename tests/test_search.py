@@ -324,6 +324,17 @@ def complete(n):
     return build_family(FamilySpec("complete", n=n))
 
 
+def random_forest(seed, *sizes):
+    """Trees of the given sizes side by side, each vertex after the first of
+    its tree joined to an earlier one drawn by a seeded generator."""
+    rng = random.Random(seed)
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(offset + rng.randrange(i), offset + i) for i in range(1, size)]
+        offset += size
+    return make_graph(offset, edges)
+
+
 # a tree whose prime search runs through the forest parity placement rule
 FOREST_EDGES = (
     (0, 6), (1, 3), (1, 7), (2, 5), (2, 6), (2, 7), (2, 9), (2, 12),
@@ -370,6 +381,12 @@ NODE_PINS = [
     pytest.param(
         lambda: find_prime(build_family(FamilySpec("tree", n=15, edges=FOREST_EDGES))),
         FOUND, 2_636, id="15-tree prime",
+    ),
+    # without the forest rule the first runs out of 200,000 nodes and the
+    # second takes 5,006
+    pytest.param(lambda: find_prime(random_forest(8, 40)), FOUND, 12_060, id="40-tree prime"),
+    pytest.param(
+        lambda: find_prime(random_forest(171, 12, 9, 7)), FOUND, 2_307, id="3-tree forest prime",
     ),
     pytest.param(
         lambda: minimum_coprime_number(cycle_union(3, 3, 5), 30),
@@ -556,7 +573,12 @@ def test_state_key_fixes_what_the_subtree_reads(case):
         even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
         domains = [engine.free & ~engine.blocked[v] for v in unlabeled]
         state = (domains, even_nbr, engine.vodd, engine.vdeficit, engine.odds_left)
-        return engine._state_key(), state
+        key = engine._state_key()
+        engine.exhausted[-1] = 0  # a table with an entry: the scan builds the key
+        _, allowed, scan_key = engine._pick_vertex()
+        if allowed:  # the scan stops early at an empty domain
+            assert scan_key == key
+        return key, state
 
     key, state = reads(labels)
     other_key, other_state = reads(reordered)
@@ -579,6 +601,34 @@ def test_table_keeps_budget_outcomes():
         assert _vertex_outcome(call(budget)) == _without_table(call(budget)), budget
 
 
+@given(vertex_calls(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_capped_table_keeps_outcomes(call, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_TABLE_CAP", cap)
+        capped = _vertex_outcome(call)
+    assert capped == _without_table(call)
+
+
+def test_table_stays_under_its_cap(monkeypatch):
+    # K7 into 1..12 stores hundreds of exhausted states
+    sizes = []
+    assign = search._VertexEngine._assign
+
+    def watched(engine, count):
+        found = assign(engine, count)
+        sizes.append(len(engine.exhausted))
+        return found
+
+    monkeypatch.setattr(search._VertexEngine, "_assign", watched)
+    uncapped = _vertex_outcome(lambda: find_coprime(complete(7), 12))
+    assert max(sizes) > 3
+    sizes.clear()
+    monkeypatch.setattr(search, "_TABLE_CAP", 3)
+    assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
+    assert max(sizes) == 3
+
+
 def test_time_budget_trips_among_replays(monkeypatch):
     # K7 has no coprime labeling into 1..12: 10,584 nodes, of which fewer
     # than 1,024 are searched, the rest replayed, so the deadline is checked
@@ -588,6 +638,56 @@ def test_time_budget_trips_among_replays(monkeypatch):
     out = find_coprime(complete(7), 12, SearchConfig(time_budget=5.0))
     assert out.status == BUDGET_EXCEEDED
     assert out.nodes_explored < 10_584
+
+
+# --- independence numbers of forests -----------------------------------------
+
+@st.composite
+def marked_forests(draw):
+    """A forest on at most 12 vertices, numbered at random, with some vertices
+    labeled and a random ``blocked`` mask on each."""
+    n = draw(st.integers(1, 12))
+    name = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        up = draw(st.none() | st.integers(0, v - 1))  # None starts a new tree
+        if up is not None:
+            edges.append((name[up], name[v]))
+    vlab = draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n))
+    blocked = draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+    return make_graph(n, edges), vlab, blocked
+
+
+@given(marked_forests())
+@settings(max_examples=200, deadline=None)
+def test_forest_independent_set_is_maximum(case):
+    # against every subset of the eligible vertices: unlabeled, bit 2 clear
+    g, vlab, blocked = case
+    _, _, bottom_up, parent = search._component_requirements(g)
+    taken = search._forest_independent_set(bottom_up, parent, vlab, blocked)
+    eligible = [v for v in range(g.n) if not vlab[v] and not blocked[v] & 4]
+
+    def independent(vertices):
+        return not any(u in g.adjacency[v] for u, v in itertools.combinations(vertices, 2))
+
+    assert set(taken) <= set(eligible) and independent(taken)
+    assert not any(
+        independent(more) for more in itertools.combinations(eligible, len(taken) + 1)
+    )
+
+
+def test_tree_demands_match_branching():
+    # trees of up to 30 vertices beside a 5-cycle, which keeps the branching
+    rng = random.Random(5)
+    for n in range(1, 31):
+        for _ in range(3):
+            forest = random_forest(rng.randrange(10**6), n, rng.randint(1, 6))
+            edges = forest.edges + tuple((forest.n + i, forest.n + (i + 1) % 5) for i in range(5))
+            g = make_graph(forest.n + 5, edges)
+            reqs, comp_of, _, _ = search._component_requirements(g)
+            comps = g.components()
+            assert [comp_of[comp[0]] for comp in comps] == list(range(len(comps)))
+            assert reqs == [len(c) - search._independence_number(g, c) for c in comps]
 
 
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
