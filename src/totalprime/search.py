@@ -63,12 +63,14 @@ the search exactly where ``spend()`` would have, and a hit also checks the
 deadline.  Only a subtree that returned no labeling after spending at least
 one node is stored: every placement below it was undone, so the state at
 its exit is the state at its entry.  Keys are built and looked up only once
-the table holds an entry, so a search that never fails builds none; the
-choice of vertex builds the key in the scan it makes anyway.  The table is
-cleared when it holds ``_TABLE_CAP`` entries, so memory stays bounded on
-long searches; a dropped state is searched again and spends the nodes its
-replay would have added.  Node counts, statuses and labelings are those of
-the search without the table.
+the table holds an entry, so a search that never fails builds none.  The
+table keeps two generations so that memory stays bounded on long searches:
+new entries go to the newer one, a lookup reads both, and when the newer
+one holds ``_GENERATION_CAP`` entries it becomes the older one and the
+previous older one is dropped.  The states a search is still coming back
+to are mostly recent, so they survive the turnover; a dropped state is
+searched again and spends the nodes its replay would have added.  Node
+counts, statuses and labelings are those of the search without the table.
 
 The key packs fields of ``limit + 1`` bits: ``free``; each class's count of
 odd vertex labels; per vertex in index order 1 when labeled, else
@@ -286,11 +288,12 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
     return rank
 
 
-# Entries the vertex engine's table of exhausted states holds before it is
-# cleared (see the module docstring).  An entry takes about 240 bytes on grid
-# 6x6, so the table stays under about 4 MB there; the largest table on the
-# search_deep benchmark holds 3,481.
-_TABLE_CAP = 16_384
+# Entries a generation of the vertex engine's table of exhausted states
+# holds before it turns over (see the module docstring), so the table holds
+# at most twice as many.  An entry takes about 240 bytes on grid 6x6, so the
+# table stays under about 4 MB there; the largest table on the search_deep
+# benchmark holds 3,481 entries.
+_GENERATION_CAP = 8_192
 
 # Conflict masks up to the largest label limit asked for so far, built on
 # first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
@@ -480,8 +483,11 @@ class _VertexEngine(_Engine):
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
         super().__init__(g, cfg, limit, requirements)
         self.is_forest = g.m == g.n - len(self.vreq)
-        # state key -> nodes spent by a subtree searched to exhaustion from it
+        # state key -> nodes spent by a subtree searched to exhaustion from
+        # it, in two generations: new entries go to ``exhausted``, and a full
+        # ``exhausted`` becomes ``older``, dropping the previous ``older``
         self.exhausted: dict[int, int] = {}
+        self.older: dict[int, int] = {}
 
     def _even_placement_ok(self, unassigned: int) -> bool:
         """On forests: the evens still forced onto vertices must fit an
@@ -516,41 +522,26 @@ class _VertexEngine(_Engine):
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
 
-    def _pick_vertex(self) -> tuple[int, int, Optional[int]]:
+    def _pick_vertex(self) -> tuple[int, int]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
-        index), with its domain as a mask, and, while the table holds an
-        entry, the state key, built in the same scan; stops early at an
-        empty domain, leaving the key unfinished."""
+        index), with its domain as a mask; stops early at an empty domain."""
         free = self.free
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         vlab = self.vlab
-        width = self.limit + 1
-        keyed = bool(self.exhausted)
-        key = None
-        if keyed:  # the fields _state_key packs, in the same order
-            key = free
-            for odd in self.vodd:
-                key = key << width | odd
-            seen = free | 4
         best, best_allowed = -1, 0
-        best_size, best_nbrs = width, 0
+        best_size, best_nbrs = self.limit + 1, 0
         for v in range(self.g.n):
             if vlab[v]:
-                if keyed:
-                    key = key << width | 1
                 continue
-            mask = blocked[v]
-            if keyed:
-                key = key << width | mask & seen
-            allowed = free & ~mask
+            allowed = free & ~blocked[v]
             size = allowed.bit_count()
             if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
                 best, best_allowed = v, allowed
                 best_size, best_nbrs = size, labeled_nbrs[v]
                 if size == 0:
                     break
-        return best, best_allowed, key
+        return best, best_allowed
 
     def run(self) -> bool:
         if self.vdeficit > self.odds_left:
@@ -560,12 +551,15 @@ class _VertexEngine(_Engine):
     def _assign(self, count: int) -> bool:
         if count == self.g.n:
             return True
-        v, allowed, key = self._pick_vertex()
+        v, allowed = self._pick_vertex()
         if not allowed:
             return False
-        exhausted = self.exhausted
-        if key is not None:
-            spent = exhausted.get(key)
+        key = None
+        if self.exhausted:  # a search that never fails builds no key
+            key = self._state_key()
+            spent = self.exhausted.get(key)
+            if spent is None:
+                spent = self.older.get(key)
             if spent is not None:
                 self._replay(spent)
                 return False
@@ -592,9 +586,9 @@ class _VertexEngine(_Engine):
             self.unplace_vertex(v, val)
         if self.nodes > start:
             # every placement is undone, so the state is the one at entry
-            if len(exhausted) >= _TABLE_CAP:
-                exhausted.clear()
-            exhausted[self._state_key() if key is None else key] = self.nodes - start
+            if len(self.exhausted) >= _GENERATION_CAP:
+                self.older, self.exhausted = self.exhausted, {}
+            self.exhausted[self._state_key() if key is None else key] = self.nodes - start
         return False
 
     def labeling(self) -> Labeling:

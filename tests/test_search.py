@@ -573,12 +573,7 @@ def test_state_key_fixes_what_the_subtree_reads(case):
         even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
         domains = [engine.free & ~engine.blocked[v] for v in unlabeled]
         state = (domains, even_nbr, engine.vodd, engine.vdeficit, engine.odds_left)
-        key = engine._state_key()
-        engine.exhausted[-1] = 0  # a table with an entry: the scan builds the key
-        _, allowed, scan_key = engine._pick_vertex()
-        if allowed:  # the scan stops early at an empty domain
-            assert scan_key == key
-        return key, state
+        return engine._state_key(), state
 
     key, state = reads(labels)
     other_key, other_state = reads(reordered)
@@ -605,7 +600,7 @@ def test_table_keeps_budget_outcomes():
 @settings(max_examples=100, deadline=None)
 def test_capped_table_keeps_outcomes(call, cap):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_TABLE_CAP", cap)
+        patch.setattr(search, "_GENERATION_CAP", cap)
         capped = _vertex_outcome(call)
     assert capped == _without_table(call)
 
@@ -617,16 +612,18 @@ def test_table_stays_under_its_cap(monkeypatch):
 
     def watched(engine, count):
         found = assign(engine, count)
-        sizes.append(len(engine.exhausted))
+        sizes.append((len(engine.exhausted), len(engine.older)))
         return found
 
     monkeypatch.setattr(search._VertexEngine, "_assign", watched)
     uncapped = _vertex_outcome(lambda: find_coprime(complete(7), 12))
-    assert max(sizes) > 3
+    assert max(newer for newer, _ in sizes) > 6
     sizes.clear()
-    monkeypatch.setattr(search, "_TABLE_CAP", 3)
+    monkeypatch.setattr(search, "_GENERATION_CAP", 3)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
-    assert max(sizes) == 3
+    # each generation fills to the cap, and the older one turns over
+    assert max(newer for newer, _ in sizes) == 3
+    assert max(map(sum, sizes)) == 6
 
 
 def test_time_budget_trips_among_replays(monkeypatch):
