@@ -14,12 +14,11 @@ DOT for ``export --format dot``.  ``--in`` reads the graph from a file and
 cannot be combined with family flags.
 
 Exit codes: 0 success; 1 when ``verify`` finds a violation, ``bounds`` a
-failed check, ``mcn`` no labeling up to ``--k-max`` (every bound exhausted,
-or a budget spent) or ``label`` no friendship labeling within its budget;
-2 usage errors, bad parameters or malformed input documents; 3 files that
+failed check or ``mcn`` no labeling up to ``--k-max`` (every bound
+exhausted, or a budget spent); 2 usage errors, bad parameters, families or
+sizes without a construction, or malformed input documents; 3 files that
 cannot be read or decoded.  ``search`` exits 0 whatever it decides and
-reports the outcome as ``status`` in its JSON.  Only ``label --family
-friendship`` searches, so ``label`` takes the search flags for it alone.
+reports the outcome as ``status`` in its JSON.  ``label`` never searches.
 """
 
 from __future__ import annotations
@@ -135,9 +134,9 @@ def _search_config(args: argparse.Namespace) -> search_mod.SearchConfig:
         kwargs["node_budget"] = args.node_budget
     if args.time_budget is not None:
         kwargs["time_budget"] = args.time_budget
-    if getattr(args, "symmetry_breaking", False):
+    if args.symmetry_breaking:
         kwargs["symmetry_breaking"] = True
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         kwargs["randomize"] = args.seed
     return search_mod.SearchConfig(**kwargs)
 
@@ -149,25 +148,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    if spec.family == "friendship":
-        # no fixed scheme for triangle windmills; search finds one directly
-        graph = build_family(spec)
-        outcome = search_mod.find_total_prime(graph, _search_config(args))
-        if outcome.status != search_mod.FOUND:
-            print(f"search failed: {outcome.status}", file=sys.stderr)
-            return 1
-        result = constructors.ConstructionResult(
-            graph, outcome.labeling, {"via": "search"}
-        )
-    else:
-        given = _given(args, _SEARCH_FLAGS)
-        if given:
-            raise InvalidParameterError(
-                f"family {args.family} is constructed, not searched;"
-                f" it does not take {', '.join(given)}"
-            )
-        result = constructors.construct(spec)
+    result = constructors.construct(_spec_from_args(args))
     payload = {
         "graph": result.graph.to_json_dict(),
         "labeling": result.labeling.to_json_dict(),
@@ -265,18 +246,11 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("--edges", help="JSON edge list (tree)")
 
 
-# each search flag and its argparse settings; every one is None when not given
-_SEARCH_FLAGS = {
-    "--node-budget": {"type": int},
-    "--time-budget": {"type": float},
-    "--symmetry-breaking": {"action": "store_true", "default": None},
-    "--seed": {"type": int},
-}
-
-
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, settings in _SEARCH_FLAGS.items():
-        parser.add_argument(flag, **settings)
+    parser.add_argument("--node-budget", type=int)
+    parser.add_argument("--time-budget", type=float)
+    parser.add_argument("--symmetry-breaking", action="store_true")
+    parser.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="construct a total prime labeling")
     _add_family_flags(p)
     p.add_argument("--out")
-    _add_search_flags(p)
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("verify", help="verify a graph+labeling JSON file")

@@ -14,9 +14,10 @@ two-page book are instances of the prime-labeling extension; complete graphs,
 prisms and stacked rectangular prisms are instances of the coprime-labeling
 extension with bound m-1, their cycles taken from
 ``graphs.canonical_hamiltonian``.  The other families list their edge
-sequences for ``_labeling``.  ``notes`` records the construction-time choices
-(chord position, swap applied, prime used, values skipped) so callers can
-assert against them.
+sequences for ``_labeling``: windmills, friendship graphs among them, one
+closed trail through the blades, and the tree extension one preorder trail.
+``notes`` records the construction-time choices (chord position, swap
+applied, prime used, values skipped) so callers can assert against them.
 
 The registry at the end of the module is the one map from family to
 construction: ``construct`` labels a FamilySpec, ``soundness_grid`` yields the
@@ -251,6 +252,7 @@ def complete(order: int) -> ConstructionResult:
 
 
 _WINDMILL_BLADE_LABELS = {
+    3: lambda i: (2 * i, 2 * i + 1),
     4: lambda i: (4 * i - 1, 4 * i, 4 * i + 1),
     5: lambda i: (6 * i - 3, 6 * i - 2, 6 * i - 1, 6 * i + 1),
 }
@@ -269,22 +271,24 @@ def windmill(clique: int, copies: int, scheme: Optional[str] = None) -> Construc
     """Copies of a clique glued at one hub, labeled along a closed trail.
 
     Two constructions exist: ``pair`` handles exactly two copies of any
-    clique of size >= 4; ``k4``/``k5``/``k6`` handle any number of copies of
-    those fixed clique sizes.  With ``scheme=None`` the fixed-size scheme
-    wins when both apply.  Both walk each blade hub -> blade in index order
-    -> hub, blade after blade, with consecutive edge labels.
+    clique of size >= 4; ``k3``/``k4``/``k5``/``k6`` handle any number of
+    copies of those fixed clique sizes (``k3`` is the friendship graph).  With
+    ``scheme=None`` the fixed-size scheme wins when both apply.  Both walk
+    each blade hub -> blade in index order -> hub, blade after blade, with
+    consecutive edge labels, so the hub sees the last edge of one blade next
+    to the first edge of the following one.
     """
     n, m = clique, copies
     if n < 3 or m < 1:
         raise InvalidParameterError("windmill needs clique >= 3 and copies >= 1")
     if m == 1:
+        if n == 3:
+            raise UnsupportedCaseError(
+                "one triangle is the cycle C3, which has no total prime labeling"
+            )
         raise UnsupportedCaseError("one copy is the complete graph; use complete()")
-    if n == 3:
-        raise UnsupportedCaseError(
-            "triangle windmills go through the search engine, not a fixed scheme"
-        )
     if scheme is None:
-        scheme = f"k{n}" if n in (4, 5, 6) else ("pair" if m == 2 else None)
+        scheme = f"k{n}" if n in (3, 4, 5, 6) else ("pair" if m == 2 else None)
         if scheme is None:
             raise UnsupportedCaseError(
                 f"no construction for clique {n} with {m} copies"
@@ -295,13 +299,13 @@ def windmill(clique: int, copies: int, scheme: Optional[str] = None) -> Construc
         primes = [numtheory.nth_prime(i) for i in range(1, 2 * n - 2)]
         vl = [1, *primes[: n - 1], 4, *primes[n - 1:]]
         start = n * n - n
-    elif scheme in ("k4", "k5", "k6"):
+    elif scheme in ("k3", "k4", "k5", "k6"):
         if n != int(scheme[1]):
             raise InvalidParameterError(f"scheme {scheme} needs clique {scheme[1]}")
         vl = [1]
         for i in range(1, m + 1):
             vl += _windmill_k6_labels(i) if n == 6 else _WINDMILL_BLADE_LABELS[n](i)
-        start = {4: 4 * m + 2, 5: 9 * m + 2, 6: 14 * m + 2}[n]
+        start = {3: 2 * m + 2, 4: 4 * m + 2, 5: 9 * m + 2, 6: 14 * m + 2}[n]
     else:
         raise InvalidParameterError(f"unknown windmill scheme {scheme!r}")
     g = build_family(FamilySpec("windmill", n=n, m=m))
@@ -378,55 +382,32 @@ def bistar(left: int, right: int) -> ConstructionResult:
     return ConstructionResult(g, _labeling(g, vl, edges, values), {})
 
 
-def _tree_path_cover(tree: Graph) -> list[list[int]]:
-    """Edge-disjoint paths whose interiors cover every vertex of degree >= 2.
+def _tree_chains(tree: Graph) -> list[list[int]]:
+    """The edges of a preorder walk from the smallest-index leaf, in discovery
+    order, cut into maximal chains.
 
-    Repeatedly take the smallest-index internal vertex not yet interior to a
-    path and grow two walks from it along smallest-index unused edges; each
-    walk stops at a leaf or upon touching a previously finished path.
+    Children are visited in ``adjacency`` order.  A vertex's edge from its
+    parent is followed directly by the edge to its first child, so the chains
+    run down first-child links and partition the edge set.
     """
-    used_edges: set[Edge] = set()
-    covered = [False] * tree.n
-    interior = [False] * tree.n
-    paths: list[list[int]] = []
-
-    def walk(start: int, first: int) -> list[int]:
-        seq = [start, first]
-        used_edges.add(_norm(start, first))
-        cur = first
-        while tree.degree(cur) >= 2 and not covered[cur]:
-            nxt = next(
-                u for u in tree.adjacency[cur] if _norm(cur, u) not in used_edges
-            )
-            used_edges.add(_norm(cur, nxt))
-            seq.append(nxt)
-            cur = nxt
-        return seq
-
-    while True:
-        pivot = next(
-            (v for v in range(tree.n) if tree.degree(v) >= 2 and not interior[v]),
-            None,
-        )
-        if pivot is None:
-            break
-        first_two = [u for u in tree.adjacency[pivot]][:2]
-        left = walk(pivot, first_two[0])
-        right = walk(pivot, first_two[1])
-        path = list(reversed(left)) + right[1:]
-        for v in path:
-            covered[v] = True
-        for v in path[1:-1]:
-            interior[v] = True
-        paths.append(path)
-    return paths
+    root = next(v for v in range(tree.n) if tree.degree(v) < 2)
+    chains: list[list[int]] = []
+    stack = [(root, u) for u in reversed(tree.adjacency[root])]
+    while stack:
+        parent, v = stack.pop()
+        if chains and chains[-1][-1] == parent:
+            chains[-1].append(v)
+        else:
+            chains.append([parent, v])
+        stack += [(v, u) for u in reversed(tree.adjacency[v]) if u != parent]
+    return chains
 
 
 def extend_prime_tree(tree: Graph, prime_labels: Labeling) -> ConstructionResult:
-    """Extend a prime labeling of a tree by labeling a path cover: each path's
-    edges take consecutive values, so every internal vertex sees two
-    consecutive incident edge labels; leftover edges get the remaining values
-    ascending."""
+    """Extend a prime labeling of a tree along one preorder trail: the edges
+    take n+1..n+m in discovery order, so every internal vertex sees its parent
+    edge and its first child edge labeled consecutively.  The root is a leaf
+    and needs no such pair.  ``notes["paths"]`` lists the trail's chains."""
     if tree.m != tree.n - 1 or not tree.is_connected():
         raise NotATreeError("input graph is not a tree")
     report = verify_prime(tree, prime_labels)
@@ -434,13 +415,13 @@ def extend_prime_tree(tree: Graph, prime_labels: Labeling) -> ConstructionResult
         raise NotPrimeLabelingError(
             f"vertex labeling is not prime ({len(report.violations)} violations)"
         )
-    paths = _tree_path_cover(tree)
-    edges = [_norm(a, b) for path in paths for a, b in zip(path, path[1:])]
-    values = range(tree.n + 1, tree.n + 1 + len(edges))
+    chains = _tree_chains(tree)
+    edges = [_norm(a, b) for chain in chains for a, b in zip(chain, chain[1:])]
+    values = range(tree.n + 1, tree.n + tree.m + 1)
     return ConstructionResult(
         tree,
         _labeling(tree, list(prime_labels.vertex_labels), edges, values),
-        {"paths": [tuple(p) for p in paths]},
+        {"paths": [tuple(c) for c in chains]},
     )
 
 
@@ -461,6 +442,7 @@ _CONSTRUCTIONS: dict[str, Callable[[FamilySpec], ConstructionResult]] = {
     "book": lambda s: book(s.k, s.n),
     "complete": lambda s: complete(_need(s, "n", 4)),
     "windmill": lambda s, scheme=None: windmill(_need(s, "n", 3), _need(s, "m", 1), scheme),
+    "friendship": lambda s: windmill(3, _need(s, "m", 1)),
     "prism": lambda s: prism(s.n),
     "stacked_prism": _stacked_prism,
     "bistar": lambda s: bistar(s.m, s.n),

@@ -17,10 +17,6 @@ class NoCanonicalCycleError(TotalPrimeError, LookupError):
     """No built-in Hamiltonian cycle recipe for the requested family."""
 
 
-class EmptyInputError(TotalPrimeError, ValueError):
-    """An operation requiring a nonempty collection received an empty one."""
-
-
 class NoPrimeError(TotalPrimeError, ValueError):
     """No prime exists at or below the requested bound."""
 

@@ -1,4 +1,4 @@
-"""Prime sieve, gcd-of-set, and label-capacity checks.
+"""Prime sieve and label-capacity checks.
 
 Every construction in this package draws its primes from a shared extendable
 sieve.  Nothing needs primes beyond a small multiple of the largest label in
@@ -12,30 +12,11 @@ import math
 import os
 from bisect import bisect_right
 from itertools import chain, compress, islice
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .errors import (
-    EmptyInputError,
-    InvalidParameterError,
-    NoPrimeError,
-    SieveLimitError,
-)
+from .errors import InvalidParameterError, NoPrimeError, SieveLimitError
 
 SIEVE_LIMIT_ENV = "TPL_SIEVE_LIMIT"
-
-
-def gcd_set(values: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers.
-
-    ``gcd_set([a])`` is ``a`` itself.
-    """
-    vals = list(values)
-    if not vals:
-        raise EmptyInputError("gcd_set needs at least one value")
-    for v in vals:
-        if v < 1:
-            raise InvalidParameterError(f"gcd_set expects positive integers, got {v}")
-    return math.gcd(*vals)
 
 
 class PrimeTable:

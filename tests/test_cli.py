@@ -139,16 +139,18 @@ class TestLabelVerifyExport:
         assert main(["label", "--family", "cycle-chord", "-n", "9", *flags]) == 2
         assert message in capsys.readouterr().err
 
-    def test_friendship_goes_through_search(self, capsys):
-        code, out = run(capsys, "label", "--family", "friendship", "-m", "2")
-        assert code == 0
-        assert json.loads(out)["notes"] == {"via": "search"}
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_friendship_is_constructed(self, tmp_path, capsys, m):
+        path = tmp_path / "f.json"
+        assert run(capsys, "label", "--family", "friendship", "-m", str(m),
+                   "--out", str(path))[0] == 0
+        assert json.loads(path.read_text())["notes"] == {"case": "k3"}
+        code, out = run(capsys, "verify", "--in", str(path))
+        assert code == 0 and json.loads(out)["valid"] is True
 
-    def test_friendship_takes_search_flags(self, capsys):
-        code, out = run(capsys, "label", "--family", "friendship", "-m", "2",
-                        "--seed", "3", "--node-budget", "5000", "--symmetry-breaking")
-        assert code == 0
-        assert json.loads(out)["notes"] == {"via": "search"}
+    def test_friendship_single_triangle_exit_2(self, capsys):
+        assert main(["label", "--family", "friendship", "-m", "1"]) == 2
+        assert "C3" in capsys.readouterr().err
 
     def test_unsupported_label_family(self, capsys):
         assert run(capsys, "label", "--family", "wheel", "-n", "5")[0] == 2
@@ -251,18 +253,16 @@ class TestMalformedInput:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, named",
-        [
-            (["--node-budget", "5", "--seed", "3"], "does not take --node-budget, --seed"),
-            (["--seed", "0"], "does not take --seed"),
-            (["--time-budget", "1", "--symmetry-breaking"],
-             "does not take --time-budget, --symmetry-breaking"),
-        ],
+        "flags",
+        [["--node-budget", "5"], ["--time-budget", "1"], ["--symmetry-breaking"], ["--seed", "0"]],
+        ids=lambda flags: flags[0],
     )
-    def test_label_search_flags_exit_2(self, capsys, flags, named):
-        # only friendship graphs are labeled by search
-        assert main(["label", "--family", "prism", "-n", "5", *flags]) == 2
-        assert named in capsys.readouterr().err
+    def test_label_takes_no_search_flags(self, capsys, flags):
+        # label only constructs, so argparse rejects every search flag
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--family", "prism", "-n", "5", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, named",

@@ -1,7 +1,9 @@
+import runpy
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_total_prime
 from totalprime.constructors import (
@@ -36,7 +38,11 @@ from totalprime.graphs import (
     make_graph,
 )
 from totalprime.labeling import Labeling, verify_coprime
-from totalprime.search import find_prime, minimum_coprime_number
+from totalprime.search import FOUND, SearchConfig, find_prime, minimum_coprime_number
+
+prufer_tree = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+)["prufer_tree"]
 
 
 class TestHelm:
@@ -245,7 +251,7 @@ class TestWindmill:
         for n in range(4, 25):
             r = windmill(n, 2, scheme="pair")
             assert_total_prime(r.graph, r.labeling, f"windmill pair {n}")
-        for n in (4, 5, 6):
+        for n in (3, 4, 5, 6):
             for m in range(2, 25):
                 r = windmill(n, m)
                 assert_total_prime(r.graph, r.labeling, f"windmill {n}x{m}")
@@ -253,7 +259,7 @@ class TestWindmill:
     @pytest.mark.parametrize(
         "n,m,exc",
         [
-            (3, 2, UnsupportedCaseError),
+            (3, 1, UnsupportedCaseError),
             (4, 1, UnsupportedCaseError),
             (7, 3, UnsupportedCaseError),
             (2, 2, InvalidParameterError),
@@ -488,7 +494,7 @@ class TestExtendPrimeTree:
     def test_claw(self):
         g = build_family(FamilySpec("star", n=3))
         r = extend_prime_tree(g, Labeling([1, 2, 3, 4]))
-        assert r.notes["paths"] == [(1, 0, 2)]
+        assert r.notes["paths"] == [(1, 0, 2), (0, 3)]
         assert r.labeling.edge_labels == {(0, 1): 5, (0, 2): 6, (0, 3): 7}
         assert gcd(gcd(5, 6), 7) == 1
         assert_total_prime(r.graph, r.labeling, "claw cover")
@@ -524,6 +530,17 @@ class TestExtendPrimeTree:
             labels = [lab[tuple(sorted(e))] for e in zip(p, p[1:])]
             assert labels == list(range(labels[0], labels[0] + len(labels)))
         assert_total_prime(r.graph, r.labeling, "cover invariants")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.randoms(use_true_random=False))
+    def test_random_trees(self, n, rng):
+        g = build_family(FamilySpec("tree", n=n, edges=tuple(prufer_tree(rng, n))))
+        prime = find_prime(g, SearchConfig(node_budget=20_000))
+        assume(prime.status == FOUND)
+        r = extend_prime_tree(g, prime.labeling)
+        assert_total_prime(r.graph, r.labeling, f"tree {g.edges}")
+        chain_edges = [tuple(sorted(e)) for p in r.notes["paths"] for e in zip(p, p[1:])]
+        assert sorted(chain_edges) == list(g.edges)
 
     def test_rejects_cycle(self):
         g = build_family(FamilySpec("cycle", n=4))

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from totalprime import numtheory
 from totalprime.errors import (
-    EmptyInputError,
     InvalidParameterError,
     NoPrimeError,
     SieveLimitError,
@@ -14,43 +13,10 @@ from totalprime.numtheory import (
     PrimeTable,
     check_label_capacity_bounds,
     check_prime_counting_bounds,
-    gcd_set,
     largest_prime_leq,
     nth_prime,
     prime_count,
 )
-
-
-class TestGcdSet:
-    def test_consecutive_pair(self):
-        # gcd(4n, 4n+1) at n=3
-        assert gcd_set([12, 13]) == 1
-
-    def test_singleton(self):
-        assert gcd_set([6]) == 6
-
-    def test_three_values(self):
-        # gcd(n+1, 2n, 2n+1) at n=9
-        assert gcd_set([10, 18, 19]) == 1
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            gcd_set([])
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(InvalidParameterError):
-            gcd_set([4, 0])
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6))
-    def test_subtraction_rule(self, a, d):
-        # gcd(a, b) == gcd(a, b - a) for b > a
-        b = a + d
-        assert gcd_set([a, b]) == gcd_set([a, b - a])
-
-    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 50))
-    def test_linear_shift_rule(self, a, b, t):
-        # gcd(a, b) == gcd(a + t*b, b)
-        assert gcd_set([a, b]) == gcd_set([a + t * b, b])
 
 
 class TestPrimes:

@@ -35,7 +35,9 @@ def test_benchmark_grid_matches_registry():
 
 
 @pytest.mark.parametrize(
-    "family", ["helm", "cycle_chord", "snake", "book", "complete", "windmill", "prism", "bistar"]
+    "family",
+    ["helm", "cycle_chord", "snake", "book", "complete", "windmill", "friendship", "prism",
+     "bistar"],
 )
 def test_construct_names_a_missing_parameter(family):
     with pytest.raises(InvalidParameterError, match=f"{family} needs [kmn] >= "):
