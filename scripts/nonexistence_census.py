@@ -22,10 +22,10 @@ def union(*lengths):
     return build_family(FamilySpec("union", members=members))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-cycle", type=int, default=9)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("== single cycles ==")
     for n in range(3, args.max_cycle + 1):

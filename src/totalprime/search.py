@@ -2,12 +2,17 @@
 labelings, plus the odd-label counting certificate for unions with stacks of
 triangles.
 
-Searches are complete and deterministic for a fixed SearchConfig.
+Searches are complete and deterministic for a fixed SearchConfig.  One loop
+labels the vertices for every search: ``_VertexEngine``.  The total search,
+``_TotalEngine``, is that loop into 1..n+m, in a fixed vertex order, with the
+odd edge labels still required (``need``) in its odd-label count; its leaf,
+reached once every vertex is labeled, is the edge phase.
 
 Representation: label sets are Python ints used as bitsets, bit x standing
 for label x.  A table of conflict masks (bit y of the mask of x is set when
-gcd(x, y) > 1) is built on first use, grown when a larger label limit is
-asked for and kept at module level; smaller limits mask it down.  The
+gcd(x, y) > 1) is built on first use from the primes of a
+``numtheory.PrimeTable``, grown when a larger label limit is asked for and
+kept at module level; smaller limits mask it down.  The
 engines keep a ``free`` mask of unused labels and, per unlabeled vertex, a
 ``blocked`` mask: the union of the conflict masks of its labeled neighbors,
 updated when a neighbor is labeled and restored from a trail when the label
@@ -46,15 +51,17 @@ Pruning:
 
 Checks before a placement: a value counts as a node when it is tried, but
 a check whose outcome the current state already decides runs before
-``place_vertex`` rewrites the neighbors' masks.  The odd-label count is one
-(an even vertex label leaves it unchanged, an odd one breaks it exactly
-when the vertex's class has its odd labels and none is spare), in both
-engines; in the vertex engine, so is a value that would empty the domain of
-an unlabeled neighbor, which the child's choice of vertex would find.  The
-forest rule and the edge-phase checks run after the label is placed.
+``place_vertex`` rewrites the neighbors' masks.  The odd-label count is one:
+an even vertex label leaves it unchanged, and an odd one breaks it exactly
+when the vertex's class has its odd labels and none is spare, counting
+``need`` (0 outside the total search).  A value that would empty the domain
+of an unlabeled neighbor is another, as that neighbor could take nothing
+below it; in the most-constrained order the child's choice of vertex finds
+the empty domain before it spends a node.  The forest rule and the
+edge-phase checks run after the label is placed.
 
 Exhausted states: the vertex engine keeps one table per engine (one per
-``find_prime``/``find_coprime`` call, one per bound of
+``find_prime``/``find_coprime``/``find_total_prime`` call, one per bound of
 ``minimum_coprime_number``; nothing is kept across calls) from a state key
 to the nodes spent by a subtree searched from that state to exhaustion.
 When a key comes back, the recorded count is added to ``nodes`` and the
@@ -86,25 +93,33 @@ symmetry breaking, which keeps vertex 0's label below every other label, so
 that the label it compares against (vertex 0's, or the smallest elsewhere
 while vertex 0 is unlabeled) is the smallest label not in ``free``.
 
-Variable order: vertex-only searches pick the most constrained vertex next
+The key stays exact when the edge phase is the leaf.  The edge phase never
+reads a vertex label: it reads ``free`` and its own state (edge labels, the
+gcds and pending counts at each vertex, the cover pools), which it restores
+on exit.  ``need`` is constant during the vertex phase, and ``vdeficit`` is
+0 once every vertex is labeled, since the even labels of a component form an
+independent set.
+
+Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
-which keeps backtracking shallow even on 50-vertex trees.  The combined
-search labels all vertices first, in a Prim-style sweep seeded at the
-highest-degree vertex, then all edges grouped by that vertex order so each
-vertex's incident set completes early.  Values are tried ascending unless a
+which keeps backtracking shallow even on 50-vertex trees.  The total search
+replaces that choice with a Prim-style sweep seeded at the highest-degree
+vertex, and labels the edges grouped by that vertex order so each vertex's
+incident set completes early.  Values are tried ascending unless a
 shuffle seed is set.
 """
 
 from __future__ import annotations
 
 import time
-from math import gcd, isqrt
+from math import gcd
 from random import Random
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParameterError, NotFoundWithinBoundError
 from .graphs import Edge, FamilySpec, Graph, build_family
 from .labeling import Labeling
+from .numtheory import PrimeTable
 
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
@@ -309,26 +324,16 @@ def _conflict_masks(limit: int) -> list[int]:
         # at least doubling the table lets the increasing bounds of
         # minimum_coprime_number rebuild it only a logarithmic number of times
         top = max(limit, 2 * (len(_CONFLICTS) - 1))
-        # smallest prime factor sieve, then each value's mask is the union
-        # of the multiples of its prime factors
-        spf = list(range(top + 1))
-        for p in range(2, isqrt(top) + 1):
-            if spf[p] == p:
-                for k in range(p * p, top + 1, p):
-                    if spf[k] == k:
-                        spf[k] = p
+        # each value's mask is the union of the multiples of its prime factors
         table = [0] * (top + 1)
-        multiples: dict[int, int] = {}
-        for x in range(2, top + 1):
-            p = spf[x]
-            if p not in multiples:
-                # bits p, 2p, ..., (top // p) * p as one geometric series
-                reps = top // p + 1
-                multiples[p] = ((1 << (p * reps)) - 1) // ((1 << p) - 1) - 1
-            rest = x // p
-            while rest % p == 0:
-                rest //= p
-            table[x] = table[rest] | multiples[p]
+        for p in PrimeTable(top).primes:  # a PrimeTable sieves at least to 4
+            if p > top:
+                break
+            # bits p, 2p, ..., (top // p) * p as one geometric series
+            reps = top // p + 1
+            multiples = ((1 << (p * reps)) - 1) // ((1 << p) - 1) - 1
+            for x in range(p, top + 1, p):
+                table[x] |= multiples
         _CONFLICTS = table
     if limit == len(_CONFLICTS) - 1:
         return _CONFLICTS
@@ -342,37 +347,41 @@ def _vertex_order(g: Graph) -> list[int]:
 
     Every vertex after the first in its component has an ordered neighbor, so
     adjacent-coprimality conflicts surface immediately instead of after deep
-    unconstrained assignments.
+    unconstrained assignments.  A heap of ``(-ordered neighbors, -degree, v)``
+    with lazy deletion keeps it O((n + m) log n): a vertex gets a new entry
+    each time it gains an ordered neighbor, the newest one comes out first,
+    and the older ones come out after it is ordered and are skipped.
     """
-    n = g.n
+    import heapq  # imported here, so that ``tpl`` start-up does not load it
+
+    seen_nbrs = [0] * g.n
+    placed = [False] * g.n
+    heap = [(0, -g.degree(v), v) for v in range(g.n)]
+    heapq.heapify(heap)
     ordered: list[int] = []
-    placed = [False] * n
-    seen_nbrs = [0] * n
-    for _ in range(n):
-        best = None
-        best_key = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            key = (seen_nbrs[v], g.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        ordered.append(best)
-        placed[best] = True
-        for u in g.adjacency[best]:
-            seen_nbrs[u] += 1
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if placed[v]:
+            continue
+        ordered.append(v)
+        placed[v] = True
+        for u in g.adjacency[v]:
+            if not placed[u]:
+                seen_nbrs[u] += 1
+                heapq.heappush(heap, (-seen_nbrs[u], -g.degree(u), u))
     return ordered
 
 
-class _Engine:
-    """Shared state for the vertex and total searches.
+class _VertexEngine:
+    """Injective vertex labeling into 1..limit with coprime adjacency.
 
     ``free`` has bit x set while label x is unused; for unlabeled v,
     ``blocked[v]`` has bit x set when x shares a prime with the label of some
     labeled neighbor of v, so the values v may still take are
     ``free & ~blocked[v]``.  ``labeled_nbrs`` counts those neighbors and
-    breaks ties in the vertex engine's choice of vertex.  A placement leaves
-    both alone at its labeled neighbors, which never read them.
+    breaks ties in the choice of vertex.  A placement leaves both alone at its
+    labeled neighbors, which never read them.  ``need`` is the number of odd
+    edge labels still required: 0 here, kept by the total engine.
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
@@ -398,6 +407,13 @@ class _Engine:
         self.vdeficit = sum(reqs)
         self.vertex_class = comp_of
         self.odds_left = (limit + 1) // 2
+        self.need = 0
+        self.is_forest = g.m == g.n - len(reqs)
+        # state key -> nodes spent by a subtree searched to exhaustion from
+        # it, in two generations: new entries go to ``exhausted``, and a full
+        # ``exhausted`` becomes ``older``, dropping the previous ``older``
+        self.exhausted: dict[int, int] = {}
+        self.older: dict[int, int] = {}
 
     def spend(self) -> None:
         self.nodes += 1
@@ -431,12 +447,17 @@ class _Engine:
                 values = [val for val in values if val >= vlab[0]]
         return values
 
-    def odd_values_fail(self, v: int, need: int = 0) -> bool:
+    def feasible(self) -> bool:
+        """The odd labels left must cover the odd vertex labels and the odd
+        edge labels still required; vertex placements never move ``need``."""
+        return self.vdeficit + self.need <= self.odds_left
+
+    def odd_values_fail(self, v: int) -> bool:
         """Whether an odd label at v breaks the odd-label count: it does when
         v's class already has its odd vertex labels and none is spare.  Even
         labels leave the count as it was, and the count held before v."""
         cls = self.vertex_class[v]
-        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + need == self.odds_left
+        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + self.need == self.odds_left
 
     def place_vertex(self, v: int, val: int) -> None:
         self.free ^= 1 << val
@@ -476,19 +497,6 @@ class _Engine:
         vlab[v] = 0
         self.free ^= 1 << val
 
-
-class _VertexEngine(_Engine):
-    """Injective vertex labeling into 1..limit with coprime adjacency."""
-
-    def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
-        super().__init__(g, cfg, limit, requirements)
-        self.is_forest = g.m == g.n - len(self.vreq)
-        # state key -> nodes spent by a subtree searched to exhaustion from
-        # it, in two generations: new entries go to ``exhausted``, and a full
-        # ``exhausted`` becomes ``older``, dropping the previous ``older``
-        self.exhausted: dict[int, int] = {}
-        self.older: dict[int, int] = {}
-
     def _even_placement_ok(self, unassigned: int) -> bool:
         """On forests: the evens still forced onto vertices must fit an
         independent set of unassigned vertices with no even neighbor."""
@@ -522,9 +530,10 @@ class _VertexEngine(_Engine):
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
 
-    def _pick_vertex(self) -> tuple[int, int]:
+    def _pick_vertex(self, count: int) -> tuple[int, int]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
-        index), with its domain as a mask; stops early at an empty domain."""
+        index), with its domain as a mask; stops early at an empty domain.
+        ``count`` vertices are labeled so far."""
         free = self.free
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
@@ -544,14 +553,16 @@ class _VertexEngine(_Engine):
         return best, best_allowed
 
     def run(self) -> bool:
-        if self.vdeficit > self.odds_left:
-            return False
-        return self._assign(0)
+        return self.feasible() and self._assign(0)
+
+    def _leaf(self) -> bool:
+        """Search what is left once every vertex is labeled: nothing here."""
+        return True
 
     def _assign(self, count: int) -> bool:
         if count == self.g.n:
-            return True
-        v, allowed = self._pick_vertex()
+            return self._leaf()
+        v, allowed = self._pick_vertex(count)
         if not allowed:
             return False
         key = None
@@ -565,9 +576,9 @@ class _VertexEngine(_Engine):
                 return False
         start = self.nodes
         odd_fails = self.odd_values_fail(v)
-        # a value that empties the domain of an unlabeled neighbor fails in
-        # the child's _pick_vertex before it spends a node, so it is refused
-        # here before place_vertex rewrites the neighbors' masks
+        # a value that empties the domain of an unlabeled neighbor leaves that
+        # neighbor nothing to take, so it is refused here before place_vertex
+        # rewrites the neighbors' masks
         free, blocked, vlab = self.free, self.blocked, self.vlab
         domains = [free & ~blocked[u] for u in self.g.adjacency[v] if not vlab[u]]
         conflict = self.conflict
@@ -644,25 +655,27 @@ class _CoverPool:
                         self.pairs += step
 
 
-class _TotalEngine(_Engine):
+class _TotalEngine(_VertexEngine):
     """Bijective labeling of vertices and edges onto 1..n+m.
 
-    Vertices are labeled first in ``vorder``, then edges in ``eorder``.
+    The vertex engine labels the vertices in ``vorder``, with the odd edge
+    labels still required counted in ``need``; its leaf labels the edges in
+    ``eorder``, grouped by that vertex order so each vertex's incident set
+    completes early.
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig):
         super().__init__(g, cfg, g.n + g.m)
         self.vorder = _vertex_order(g)
-        index_of = {e: i for i, e in enumerate(g.edges)}
-        eorder: list[int] = []
-        listed = set()
-        for v in self.vorder:
-            for u in g.adjacency[v]:
-                ei = index_of[(u, v) if u < v else (v, u)]
-                if ei not in listed:
-                    listed.add(ei)
-                    eorder.append(ei)
-        self.eorder = eorder
+        place = [0] * g.n
+        for i, v in enumerate(self.vorder):
+            place[v] = i
+
+        def earlier_end_first(ei: int) -> tuple[int, int]:
+            u, v = g.edges[ei]
+            return (place[u], v) if place[u] < place[v] else (place[v], u)
+
+        self.eorder = sorted(range(g.m), key=earlier_end_first)
         self.elab = [0] * g.m
         self.internal = [g.degree(v) >= 2 for v in range(g.n)]
         self.pending = [g.degree(v) for v in range(g.n)]
@@ -677,28 +690,12 @@ class _TotalEngine(_Engine):
             self.pools.append(_CoverPool(g, d2))
         self.need = max(pool.need() for pool in self.pools)
 
-    def feasible(self) -> bool:
-        """The odd labels left must cover the odd vertex labels and the odd
-        edge labels still required; vertex placements never move ``need``."""
-        return self.vdeficit + self.need <= self.odds_left
+    def _pick_vertex(self, count: int) -> tuple[int, int]:
+        v = self.vorder[count]
+        return v, self.free & ~self.blocked[v]
 
-    def run(self) -> bool:
-        return self.feasible() and self._assign_vertex(0)
-
-    def _assign_vertex(self, i: int) -> bool:
-        if i == self.g.n:
-            return self._assign_edge(0)
-        v = self.vorder[i]
-        odd_fails = self.odd_values_fail(v, self.need)
-        for val in self.vertex_values(v, self.free & ~self.blocked[v]):
-            self.spend()
-            if val & 1 and odd_fails:
-                continue
-            self.place_vertex(v, val)
-            if self._assign_vertex(i + 1):
-                return True
-            self.unplace_vertex(v, val)
-        return False
+    def _leaf(self) -> bool:
+        return self._assign_edge(0)
 
     def _assign_edge(self, j: int) -> bool:
         if j == len(self.eorder):

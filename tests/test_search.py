@@ -3,7 +3,9 @@ import itertools
 import json
 import pickle
 import random
+import runpy
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +31,9 @@ from totalprime.search import (
     minimum_coprime_number,
     union_c3_infeasibility_certificate,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cycle(n):
@@ -278,6 +283,24 @@ class TestDoubledUnion:
             doubled_union_reduction([3, 2])
 
 
+def test_nonexistence_census_script(capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "nonexistence_census.py"))["main"]
+    assert main([]) == 0
+    out = capsys.readouterr().out
+    verdicts = {}
+    for line in out.splitlines():
+        if "nodes=" in line:
+            name, status, nodes = line.split()
+            verdicts[name] = (status, int(nodes.removeprefix("nodes=")))
+    assert verdicts == {
+        "C_3": (EXHAUSTED, 0), "C_4": (FOUND, 9), "C_5": (EXHAUSTED, 0),
+        "C_6": (FOUND, 21), "C_7": (EXHAUSTED, 0), "C_8": (FOUND, 46),
+        "C_9": (EXHAUSTED, 0), "C3+C3": (EXHAUSTED, 0), "C3+C4": (EXHAUSTED, 0),
+        "C3+C5": (EXHAUSTED, 0), "C3+C3+C4": (EXHAUSTED, 0),
+    }
+    assert out.endswith("prime labeling of C4+C4: True\n")
+
+
 class TestSearchConfig:
     def test_budgets_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
@@ -421,7 +444,7 @@ PLACEMENT_PINS = [
     ),
     pytest.param(
         lambda: find_total_prime(snake(3, 3).graph, SearchConfig(node_budget=30_000)),
-        3_156, id="snake 3x3 total",
+        1_435, id="snake 3x3 total",
     ),
     pytest.param(
         lambda: minimum_coprime_number(complete(7), 28, SearchConfig(node_budget=30_000)),
@@ -433,13 +456,13 @@ PLACEMENT_PINS = [
 @pytest.mark.parametrize("call, placements", PLACEMENT_PINS)
 def test_placement_pins(monkeypatch, call, placements):
     placed = []
-    place_vertex = search._Engine.place_vertex
+    place_vertex = search._VertexEngine.place_vertex
 
     def counted(engine, v, val):
         placed.append(v)
         place_vertex(engine, v, val)
 
-    monkeypatch.setattr(search._Engine, "place_vertex", counted)
+    monkeypatch.setattr(search._VertexEngine, "place_vertex", counted)
     call()
     assert len(placed) == placements
 
@@ -521,8 +544,9 @@ def _without_table(call):
 
 @st.composite
 def vertex_calls(draw):
-    """A prime, coprime or MCN call on a graph with at most 10 vertices, with
-    a seed, symmetry breaking and a budget small enough to trip in a replay."""
+    """A total, prime, coprime or MCN call on a graph with at most 10
+    vertices, with a seed, symmetry breaking and a budget small enough to
+    trip in a replay."""
     n = draw(st.integers(1, 10))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -532,8 +556,10 @@ def vertex_calls(draw):
         symmetry_breaking=draw(st.booleans()),
         randomize=draw(st.none() | st.integers(0, 999)),
     )
-    kind = draw(st.sampled_from(("prime", "coprime", "mcn")))
+    kind = draw(st.sampled_from(("total", "prime", "coprime", "mcn")))
     slack = draw(st.integers(0, 4))
+    if kind == "total":
+        return lambda: find_total_prime(g, cfg)
     if kind == "prime":
         return lambda: find_prime(g, cfg)
     if kind == "coprime":
@@ -690,9 +716,10 @@ def test_tree_demands_match_branching():
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
 
 @st.composite
-def small_graphs(draw, max_labels=None):
-    """Graphs on at most 7 vertices; with ``max_labels``, n + m stays within it."""
-    n = draw(st.integers(1, 7))
+def small_graphs(draw, max_labels=None, max_n=7):
+    """Graphs on at most ``max_n`` vertices; with ``max_labels``, n + m stays
+    within it."""
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
         return make_graph(n, [])
@@ -792,3 +819,36 @@ class TestBruteForceOracle:
         assert out.status == (FOUND if total_prime_oracle(g) else EXHAUSTED)
         if out.status == FOUND:
             assert_total_prime(g, out.labeling, "oracle graph")
+
+
+# --- the total search's variable order ---------------------------------------
+
+def quadratic_orders(g):
+    """The total search's vertex and edge orders, built directly: each step
+    scans every vertex for the most ordered neighbors, then the highest
+    degree, then the lowest index; each edge is listed at the earlier of its
+    endpoints, in that endpoint's neighbor order."""
+    ordered, placed, seen_nbrs = [], [False] * g.n, [0] * g.n
+    for _ in range(g.n):
+        best = max(
+            (v for v in range(g.n) if not placed[v]),
+            key=lambda v: (seen_nbrs[v], g.degree(v), -v),
+        )
+        ordered.append(best)
+        placed[best] = True
+        for u in g.adjacency[best]:
+            seen_nbrs[u] += 1
+    eorder = []
+    for v in ordered:
+        for u in g.adjacency[v]:
+            ei = g.edges.index((min(u, v), max(u, v)))
+            if ei not in eorder:
+                eorder.append(ei)
+    return ordered, eorder
+
+
+@given(small_graphs(max_n=25))
+@settings(max_examples=150, deadline=None)
+def test_total_orders_match_the_quadratic_sweep(g):
+    engine = search._TotalEngine(g, SearchConfig())
+    assert (engine.vorder, engine.eorder) == quadratic_orders(g)
