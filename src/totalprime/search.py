@@ -73,14 +73,16 @@ its exit is the state at its entry.  Keys are built and looked up only once
 the table holds an entry, so a search that never fails builds none.  The
 table keeps two generations so that memory stays bounded on long searches:
 new entries go to the newer one, a lookup reads both, and when the newer
-one holds ``_GENERATION_CAP`` entries it becomes the older one and the
-previous older one is dropped.  The states a search is still coming back
-to are mostly recent, so they survive the turnover; a dropped state is
-searched again and spends the nodes its replay would have added.  Node
-counts, statuses and labelings are those of the search without the table.
+one holds ``_GENERATION_CAP`` entries, or ``_GENERATION_BYTES`` of keys, it
+becomes the older one and the previous older one is dropped.  The states a
+search is still coming back to are mostly recent, so they survive the
+turnover; a dropped state is searched again and spends the nodes its replay
+would have added.  Node counts, statuses and labelings are those of the
+search without the table.
 
-The key packs fields of ``limit + 1`` bits: ``free``; each class's count of
-odd vertex labels; per vertex in index order 1 when labeled, else
+The key joins fields of ``limit // 8 + 1`` bytes each, so it is built in
+time linear in its length: ``free``; each class's count of odd vertex
+labels; per vertex in index order 1 when labeled, else
 ``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
 set, so it cannot be taken for a labeled one.  Everything the subtree reads
 follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
@@ -307,8 +309,12 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
 # holds before it turns over (see the module docstring), so the table holds
 # at most twice as many.  An entry takes about 240 bytes on grid 6x6, so the
 # table stays under about 4 MB there; the largest table on the search_deep
-# benchmark holds 3,481 entries.
+# benchmark holds 3,481 entries.  A generation also holds at most
+# ``_GENERATION_BYTES`` of keys, which caps it below ``_GENERATION_CAP``
+# once a key passes 256 bytes (a key of n vertices and limit L takes about
+# n * L / 8 bytes: 63 KB on a 500-cycle's total search).
 _GENERATION_CAP = 8_192
+_GENERATION_BYTES = 2 << 20
 
 # Conflict masks up to the largest label limit asked for so far, built on
 # first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
@@ -325,13 +331,17 @@ def _conflict_masks(limit: int) -> list[int]:
         # minimum_coprime_number rebuild it only a logarithmic number of times
         top = max(limit, 2 * (len(_CONFLICTS) - 1))
         # each value's mask is the union of the multiples of its prime factors
+        keep = (2 << top) - 1
         table = [0] * (top + 1)
         for p in PrimeTable(top).primes:  # a PrimeTable sieves at least to 4
             if p > top:
                 break
-            # bits p, 2p, ..., (top // p) * p as one geometric series
-            reps = top // p + 1
-            multiples = ((1 << (p * reps)) - 1) // ((1 << p) - 1) - 1
+            # bits p, 2p, ..., (top // p) * p, doubling the run of multiples
+            multiples, span = 1 << p, p
+            while span < top:
+                multiples |= multiples << span
+                span *= 2
+            multiples &= keep
             for x in range(p, top + 1, p):
                 table[x] |= multiples
         _CONFLICTS = table
@@ -347,28 +357,25 @@ def _vertex_order(g: Graph) -> list[int]:
 
     Every vertex after the first in its component has an ordered neighbor, so
     adjacent-coprimality conflicts surface immediately instead of after deep
-    unconstrained assignments.  A heap of ``(-ordered neighbors, -degree, v)``
-    with lazy deletion keeps it O((n + m) log n): a vertex gets a new entry
-    each time it gains an ordered neighbor, the newest one comes out first,
-    and the older ones come out after it is ordered and are skipped.
+    unconstrained assignments.
     """
-    import heapq  # imported here, so that ``tpl`` start-up does not load it
-
-    seen_nbrs = [0] * g.n
-    placed = [False] * g.n
-    heap = [(0, -g.degree(v), v) for v in range(g.n)]
-    heapq.heapify(heap)
+    n = g.n
     ordered: list[int] = []
-    while heap:
-        v = heapq.heappop(heap)[2]
-        if placed[v]:
-            continue
-        ordered.append(v)
-        placed[v] = True
-        for u in g.adjacency[v]:
-            if not placed[u]:
-                seen_nbrs[u] += 1
-                heapq.heappush(heap, (-seen_nbrs[u], -g.degree(u), u))
+    placed = [False] * n
+    seen_nbrs = [0] * n
+    for _ in range(n):
+        best = None
+        best_key = None
+        for v in range(n):
+            if placed[v]:
+                continue
+            key = (seen_nbrs[v], g.degree(v), -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        ordered.append(best)
+        placed[best] = True
+        for u in g.adjacency[best]:
+            seen_nbrs[u] += 1
     return ordered
 
 
@@ -412,8 +419,17 @@ class _VertexEngine:
         # state key -> nodes spent by a subtree searched to exhaustion from
         # it, in two generations: new entries go to ``exhausted``, and a full
         # ``exhausted`` becomes ``older``, dropping the previous ``older``
-        self.exhausted: dict[int, int] = {}
-        self.older: dict[int, int] = {}
+        self.exhausted: dict[bytes, int] = {}
+        self.older: dict[bytes, int] = {}
+        # each field of a state key takes this many bytes: every field is
+        # below 2 ** (limit + 1), or is at most 4 when limit < 2
+        self.field_bytes = limit // 8 + 1
+        # the fields of labeled vertices and of vertices with no labeled
+        # neighbor are the same every time, so they are made once
+        self.labeled_field = (1).to_bytes(self.field_bytes, "little")
+        self.unblocked_field = bytes(self.field_bytes)
+        key_bytes = self.field_bytes * (1 + len(reqs) + g.n)
+        self.generation_cap = min(_GENERATION_CAP, max(1, _GENERATION_BYTES // key_bytes))
 
     def spend(self) -> None:
         self.nodes += 1
@@ -505,20 +521,22 @@ class _VertexEngine:
             _forest_independent_set(self.bottom_up, self.parent, self.vlab, self.blocked)
         ) >= evens_needed
 
-    def _state_key(self) -> int:
+    def _state_key(self) -> bytes:
         """The current state's key; the module docstring says what it packs
         and why that is all the subtree below it reads."""
-        width = self.limit + 1
+        size = self.field_bytes
         free = self.free
-        key = free
-        for odd in self.vodd:
-            key = key << width | odd
         seen = free | 4
-        blocked = self.blocked
-        vlab = self.vlab
-        for v in range(self.g.n):
-            key = key << width | (1 if vlab[v] else blocked[v] & seen)
-        return key
+        labeled, unblocked = self.labeled_field, self.unblocked_field
+        parts = [free.to_bytes(size, "little")]
+        for odd in self.vodd:
+            parts.append(odd.to_bytes(size, "little"))
+        for lab, mask in zip(self.vlab, self.blocked):
+            if lab:
+                parts.append(labeled)
+            else:
+                parts.append((mask & seen).to_bytes(size, "little") if mask else unblocked)
+        return b"".join(parts)
 
     def _replay(self, spent: int) -> None:
         """Count an exhausted subtree's nodes again without searching it,
@@ -597,7 +615,7 @@ class _VertexEngine:
             self.unplace_vertex(v, val)
         if self.nodes > start:
             # every placement is undone, so the state is the one at entry
-            if len(self.exhausted) >= _GENERATION_CAP:
+            if len(self.exhausted) >= self.generation_cap:
                 self.older, self.exhausted = self.exhausted, {}
             self.exhausted[self._state_key() if key is None else key] = self.nodes - start
         return False

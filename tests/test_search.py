@@ -650,6 +650,13 @@ def test_table_stays_under_its_cap(monkeypatch):
     # each generation fills to the cap, and the older one turns over
     assert max(newer for newer, _ in sizes) == 3
     assert max(map(sum, sizes)) == 6
+    sizes.clear()
+    monkeypatch.setattr(search, "_GENERATION_CAP", 8_192)
+    # a key of K7 into 1..12 is 9 fields of 2 bytes: free, the odd count of
+    # its one class and the 7 vertices; a generation holds 3 such keys
+    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 18)
+    assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
+    assert max(newer for newer, _ in sizes) == 3
 
 
 def test_time_budget_trips_among_replays(monkeypatch):
@@ -716,10 +723,9 @@ def test_tree_demands_match_branching():
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
 
 @st.composite
-def small_graphs(draw, max_labels=None, max_n=7):
-    """Graphs on at most ``max_n`` vertices; with ``max_labels``, n + m stays
-    within it."""
-    n = draw(st.integers(1, max_n))
+def small_graphs(draw, max_labels=None):
+    """Graphs on at most 7 vertices; with ``max_labels``, n + m stays within it."""
+    n = draw(st.integers(1, 7))
     pairs = list(itertools.combinations(range(n), 2))
     if not pairs:
         return make_graph(n, [])
@@ -819,36 +825,3 @@ class TestBruteForceOracle:
         assert out.status == (FOUND if total_prime_oracle(g) else EXHAUSTED)
         if out.status == FOUND:
             assert_total_prime(g, out.labeling, "oracle graph")
-
-
-# --- the total search's variable order ---------------------------------------
-
-def quadratic_orders(g):
-    """The total search's vertex and edge orders, built directly: each step
-    scans every vertex for the most ordered neighbors, then the highest
-    degree, then the lowest index; each edge is listed at the earlier of its
-    endpoints, in that endpoint's neighbor order."""
-    ordered, placed, seen_nbrs = [], [False] * g.n, [0] * g.n
-    for _ in range(g.n):
-        best = max(
-            (v for v in range(g.n) if not placed[v]),
-            key=lambda v: (seen_nbrs[v], g.degree(v), -v),
-        )
-        ordered.append(best)
-        placed[best] = True
-        for u in g.adjacency[best]:
-            seen_nbrs[u] += 1
-    eorder = []
-    for v in ordered:
-        for u in g.adjacency[v]:
-            ei = g.edges.index((min(u, v), max(u, v)))
-            if ei not in eorder:
-                eorder.append(ei)
-    return ordered, eorder
-
-
-@given(small_graphs(max_n=25))
-@settings(max_examples=150, deadline=None)
-def test_total_orders_match_the_quadratic_sweep(g):
-    engine = search._TotalEngine(g, SearchConfig())
-    assert (engine.vorder, engine.eorder) == quadratic_orders(g)
