@@ -63,56 +63,81 @@ edge-phase checks run after the label is placed.
 Exhausted states: the vertex engine keeps one table per engine (one per
 ``find_prime``/``find_coprime``/``find_total_prime`` call, one per bound of
 ``minimum_coprime_number``; nothing is kept across calls) from a state key
-to the nodes spent by a subtree searched from that state to exhaustion.
-When a key comes back, the recorded count is added to ``nodes`` and the
-subtree is not searched again; a count that passes ``node_budget`` stops
-the search exactly where ``spend()`` would have, and a hit also checks the
-deadline.  Only a subtree that returned no labeling after spending at least
-one node is stored: every placement below it was undone, so the state at
-its exit is the state at its entry.  Keys are built and looked up only once
-the table holds an entry, so a search that never fails builds none.  The
-table keeps two generations so that memory stays bounded on long searches:
-new entries go to the newer one, a lookup reads both, and when the newer
-one holds ``_GENERATION_CAP`` entries, or ``_GENERATION_BYTES`` of keys, it
-becomes the older one and the previous older one is dropped.  The states a
-search is still coming back to are mostly recent, so they survive the
+to the nodes spent by a subtree searched from that state to exhaustion; the
+total search's edge phase stores its own states in the same table.  When a
+key comes back, the recorded count is added to ``nodes`` and the subtree is
+not searched again; a count that passes ``node_budget`` stops the search
+exactly where ``spend()`` would have, and a hit also checks the deadline.
+Only a subtree that returned no labeling after spending at least one node
+is stored: every placement below it was undone, so the state at its exit is
+the state at its entry.  Keys are built and looked up only once the table
+holds an entry, so a search that never fails builds none.  The table keeps
+two generations so that memory stays bounded on long searches: new entries
+go to the newer one, a lookup reads both, and an entry that would take the
+newer one past ``_GENERATION_CAP`` entries or ``_GENERATION_BYTES`` of keys
+first makes it the older one, dropping the previous older one.  The states
+a search is still coming back to are mostly recent, so they survive the
 turnover; a dropped state is searched again and spends the nodes its replay
 would have added.  Node counts, statuses and labelings are those of the
 search without the table.
 
-The key joins fields of ``limit // 8 + 1`` bytes each, so it is built in
-time linear in its length: ``free``; each class's count of odd vertex
-labels; per vertex in index order 1 when labeled, else
-``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
-set, so it cannot be taken for a labeled one.  Everything the subtree reads
-follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
-from the labeled set; ``odds_left``, the odd bits of ``free``;
-``vdeficit``, from the odd counts; the neighbor-wipeout check;
-``place_vertex``'s updates, since blocked labels that are no longer free
-stay out of every later domain; the forest rule's eligibility, as bit 2 of
-``blocked[v]`` is set exactly when v has an even-labeled neighbor; and
-symmetry breaking, which keeps vertex 0's label below every other label, so
-that the label it compares against (vertex 0's, or the smallest elsewhere
-while vertex 0 is unlabeled) is the smallest label not in ``free``.
+Keys are joined from fixed-width fields, so they are built in time linear
+in their length: the labeled mask in ``n // 8 + 1`` bytes, then fields of
+``limit // 8 + 1`` bytes.  A vertex-phase key holds ``free``; each class's
+count of odd vertex labels; and ``blocked[v] & (free | 4)`` for each
+frontier vertex v (unlabeled, with a labeled neighbor) in index order.  The
+labeled mask fixes the frontier, so the fields line up, and a vertex off the
+frontier has ``blocked[v] == 0``: equal keys mean equal odd counts, labeled
+sets and ``blocked[v] & (free | 4)`` at every unlabeled vertex.  Everything
+the subtree reads follows from that: the domains ``free & ~blocked[v]``;
+``labeled_nbrs`` and the frontier, from the labeled set; ``odds_left``, the
+odd bits of ``free``; ``vdeficit``, from the odd counts; the
+neighbor-wipeout check; ``place_vertex``'s updates, since blocked labels
+that are no longer free stay out of every later domain; the forest rule's
+eligibility, as bit 2 of ``blocked[v]`` is set exactly when v has an
+even-labeled neighbor; and symmetry breaking, which keeps vertex 0's label
+below every other label, so that the label it compares against (vertex
+0's, or the smallest elsewhere while vertex 0 is unlabeled) is the smallest
+label not in ``free``.
 
-The key stays exact when the edge phase is the leaf.  The edge phase never
-reads a vertex label: it reads ``free`` and its own state (edge labels, the
-gcds and pending counts at each vertex, the cover pools), which it restores
-on exit.  ``need`` is constant during the vertex phase, and ``vdeficit`` is
-0 once every vertex is labeled, since the even labels of a component form an
-independent set.
+The vertex-phase key stays exact when the edge phase is the leaf.  The edge
+phase never reads a vertex label: it reads ``free`` and its own state (edge
+labels, the gcds and pending counts at each vertex, the cover pools), which
+it restores on exit.  ``need`` is constant during the vertex phase, and
+``vdeficit`` is 0 once every vertex is labeled, since the even labels of a
+component form an independent set.
+
+An edge-phase key, taken before the j-th edge of the edge order, holds the
+mask of every vertex labeled, which no vertex-phase key has (those are
+built with a vertex still to label); ``free``; and the incident gcd of each
+open vertex, one of degree >= 2 with an edge still to label, in index
+order.  That is all the phase reads from there.  ``free`` has m - j bits,
+so it fixes j: the labeled edges, the pending counts and the open
+vertices.  ``odds_left`` is the odd bits of ``free``.  The last-edge rule
+reads the gcds of open vertices only.  A vertex has an odd incident edge
+exactly when its gcd is odd, and a vertex of degree >= 2 whose edges are
+all labeled has gcd 1 by the last-edge rule, so the cover pools (uncovered
+members, unlabeled edges joining two of them) and ``need`` follow from the
+open gcds.
 
 Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
-which keeps backtracking shallow even on 50-vertex trees.  The total search
-replaces that choice with a Prim-style sweep seeded at the highest-degree
-vertex, and labels the edges grouped by that vertex order so each vertex's
-incident set completes early.  Values are tried ascending unless a
-shuffle seed is set.
+which keeps backtracking shallow even on 50-vertex trees.  It scans the
+frontier only, which ``place_vertex`` keeps as a mask beside the labeled
+one, so a node costs the size of its frontier rather than n: a vertex off
+the frontier has no labeled neighbor and all of ``free`` as its domain,
+while a frontier vertex has a labeled neighbor and a domain inside
+``free``, so it always ranks ahead; an empty domain occurs only on the
+frontier; and with no frontier every unlabeled vertex ties, so the lowest
+unlabeled index wins.  The total search replaces that choice with a
+Prim-style sweep seeded at the highest-degree vertex, and labels the edges
+grouped by that vertex order so each vertex's incident set completes early.
+Values are tried ascending unless a shuffle seed is set.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from math import gcd
 from random import Random
@@ -307,12 +332,12 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
 
 # Entries a generation of the vertex engine's table of exhausted states
 # holds before it turns over (see the module docstring), so the table holds
-# at most twice as many.  An entry takes about 240 bytes on grid 6x6, so the
-# table stays under about 4 MB there; the largest table on the search_deep
-# benchmark holds 3,481 entries.  A generation also holds at most
-# ``_GENERATION_BYTES`` of keys, which caps it below ``_GENERATION_CAP``
-# once a key passes 256 bytes (a key of n vertices and limit L takes about
-# n * L / 8 bytes: 63 KB on a 500-cycle's total search).
+# at most twice as many.  An entry takes about 130 bytes on grid 6x6 (keys of
+# 43 bytes on average), so the table stays under about 2 MB there; the
+# largest table on the search_deep benchmark holds 3,481 entries.  A
+# generation also holds at most ``_GENERATION_BYTES`` of keys, counted as
+# they are stored, which caps it below ``_GENERATION_CAP`` once keys average
+# more than 256 bytes (a 500-cycle's total search stores keys of 567 bytes).
 _GENERATION_CAP = 8_192
 _GENERATION_BYTES = 2 << 20
 
@@ -402,6 +427,13 @@ class _VertexEngine:
         self.labeled_nbrs = [0] * g.n
         self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
+        # vertex masks: bit v of ``labeled`` is set while v is labeled, and of
+        # ``frontier`` while v is unlabeled with a labeled neighbor; each
+        # placement pushes the frontier it replaces onto ``frontiers``
+        self.nbr_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
+        self.labeled = 0
+        self.frontier = 0
+        self.frontiers: list[int] = []
         self.nodes = 0
         self.deadline = (
             time.perf_counter() + cfg.time_budget if cfg.time_budget else None
@@ -421,15 +453,12 @@ class _VertexEngine:
         # ``exhausted`` becomes ``older``, dropping the previous ``older``
         self.exhausted: dict[bytes, int] = {}
         self.older: dict[bytes, int] = {}
-        # each field of a state key takes this many bytes: every field is
-        # below 2 ** (limit + 1), or is at most 4 when limit < 2
+        self.exhausted_bytes = 0  # the bytes of the keys in ``exhausted``
+        # a state key opens with the labeled mask in ``mask_bytes`` bytes;
+        # each further field takes ``field_bytes``: every field is below
+        # 2 ** (limit + 1), or is at most 4 when limit < 2
+        self.mask_bytes = g.n // 8 + 1
         self.field_bytes = limit // 8 + 1
-        # the fields of labeled vertices and of vertices with no labeled
-        # neighbor are the same every time, so they are made once
-        self.labeled_field = (1).to_bytes(self.field_bytes, "little")
-        self.unblocked_field = bytes(self.field_bytes)
-        key_bytes = self.field_bytes * (1 + len(reqs) + g.n)
-        self.generation_cap = min(_GENERATION_CAP, max(1, _GENERATION_BYTES // key_bytes))
 
     def spend(self) -> None:
         self.nodes += 1
@@ -488,6 +517,9 @@ class _VertexEngine:
                 trail.append(blocked[u])
                 blocked[u] |= conflict
                 labeled_nbrs[u] += 1
+        self.frontiers.append(self.frontier)
+        self.labeled |= 1 << v
+        self.frontier = (self.frontier | self.nbr_mask[v]) & ~self.labeled
         if val & 1:
             cls = self.vertex_class[v]
             self.odds_left -= 1
@@ -502,6 +534,8 @@ class _VertexEngine:
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit += 1
             self.odds_left += 1
+        self.frontier = self.frontiers.pop()
+        self.labeled ^= 1 << v
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
@@ -527,40 +561,64 @@ class _VertexEngine:
         size = self.field_bytes
         free = self.free
         seen = free | 4
-        labeled, unblocked = self.labeled_field, self.unblocked_field
-        parts = [free.to_bytes(size, "little")]
+        blocked = self.blocked
+        parts = [self.labeled.to_bytes(self.mask_bytes, "little"), free.to_bytes(size, "little")]
         for odd in self.vodd:
             parts.append(odd.to_bytes(size, "little"))
-        for lab, mask in zip(self.vlab, self.blocked):
-            if lab:
-                parts.append(labeled)
-            else:
-                parts.append((mask & seen).to_bytes(size, "little") if mask else unblocked)
+        frontier = self.frontier
+        while frontier:
+            low = frontier & -frontier
+            parts.append((blocked[low.bit_length() - 1] & seen).to_bytes(size, "little"))
+            frontier ^= low
         return b"".join(parts)
 
-    def _replay(self, spent: int) -> None:
-        """Count an exhausted subtree's nodes again without searching it,
-        stopping where spend() would have."""
+    def _replayed(self, key: bytes) -> bool:
+        """Whether the subtree at ``key`` was searched to exhaustion; if so,
+        count its nodes again without searching it, stopping where spend()
+        would have."""
+        spent = self.exhausted.get(key)
+        if spent is None:
+            spent = self.older.get(key)
+            if spent is None:
+                return False
         self.nodes += spent
         if self.nodes > self.cfg.node_budget:
             self.nodes = self.cfg.node_budget + 1
             raise _OutOfBudget
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
+        return True
+
+    def _store(self, key: bytes, spent: int) -> None:
+        """Record that the subtree at ``key`` spent ``spent`` nodes and found
+        nothing, turning the generations over first when the newer one is
+        full."""
+        if (
+            len(self.exhausted) >= _GENERATION_CAP
+            or self.exhausted_bytes + len(key) > _GENERATION_BYTES
+        ):
+            self.older, self.exhausted, self.exhausted_bytes = self.exhausted, {}, 0
+        self.exhausted[key] = spent
+        self.exhausted_bytes += len(key)
 
     def _pick_vertex(self, count: int) -> tuple[int, int]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
         index), with its domain as a mask; stops early at an empty domain.
-        ``count`` vertices are labeled so far."""
+        ``count`` vertices are labeled so far.  Only the frontier is scanned;
+        the module docstring says why that picks the same vertex."""
         free = self.free
+        frontier = self.frontier
+        if not frontier:
+            labeled = self.labeled
+            return ((labeled + 1) & ~labeled).bit_length() - 1, free
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
-        vlab = self.vlab
         best, best_allowed = -1, 0
         best_size, best_nbrs = self.limit + 1, 0
-        for v in range(self.g.n):
-            if vlab[v]:
-                continue
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            frontier ^= low
             allowed = free & ~blocked[v]
             size = allowed.bit_count()
             if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
@@ -586,11 +644,7 @@ class _VertexEngine:
         key = None
         if self.exhausted:  # a search that never fails builds no key
             key = self._state_key()
-            spent = self.exhausted.get(key)
-            if spent is None:
-                spent = self.older.get(key)
-            if spent is not None:
-                self._replay(spent)
+            if self._replayed(key):
                 return False
         start = self.nodes
         odd_fails = self.odd_values_fail(v)
@@ -615,9 +669,7 @@ class _VertexEngine:
             self.unplace_vertex(v, val)
         if self.nodes > start:
             # every placement is undone, so the state is the one at entry
-            if len(self.exhausted) >= self.generation_cap:
-                self.older, self.exhausted = self.exhausted, {}
-            self.exhausted[self._state_key() if key is None else key] = self.nodes - start
+            self._store(self._state_key() if key is None else key, self.nodes - start)
         return False
 
     def labeling(self) -> Labeling:
@@ -696,6 +748,19 @@ class _TotalEngine(_VertexEngine):
         self.eorder = sorted(range(g.m), key=earlier_end_first)
         self.elab = [0] * g.m
         self.internal = [g.degree(v) >= 2 for v in range(g.n)]
+        # bit v of open_masks[j] is set when v has degree >= 2 and an edge in
+        # eorder[j:]: the vertices whose incident gcd the edge phase reads
+        # from edge j on
+        self.open_masks = [0] * g.m
+        open_mask = 0
+        for j in reversed(range(g.m)):
+            for x in g.edges[self.eorder[j]]:
+                if self.internal[x]:
+                    open_mask |= 1 << x
+            self.open_masks[j] = open_mask
+        # edge-phase keys open with every vertex labeled, a mask that no
+        # vertex-phase key has
+        self.all_labeled = ((1 << g.n) - 1).to_bytes(self.mask_bytes, "little")
         self.pending = [g.degree(v) for v in range(g.n)]
         self.egcd = [0] * g.n
         self.odd_inc = [0] * g.n
@@ -715,9 +780,28 @@ class _TotalEngine(_VertexEngine):
     def _leaf(self) -> bool:
         return self._assign_edge(0)
 
+    def _edge_key(self, j: int) -> bytes:
+        """The key of the edge phase's state before edge ``eorder[j]``; the
+        module docstring says why it fixes all that the phase reads."""
+        size = self.field_bytes
+        egcd = self.egcd
+        parts = [self.all_labeled, self.free.to_bytes(size, "little")]
+        open_mask = self.open_masks[j]
+        while open_mask:
+            low = open_mask & -open_mask
+            parts.append(egcd[low.bit_length() - 1].to_bytes(size, "little"))
+            open_mask ^= low
+        return b"".join(parts)
+
     def _assign_edge(self, j: int) -> bool:
         if j == len(self.eorder):
             return True
+        key = None
+        if self.exhausted:
+            key = self._edge_key(j)
+            if self._replayed(key):
+                return False
+        start = self.nodes
         ei = self.eorder[j]
         u, v = self.g.edges[ei]
         elab = self.elab
@@ -764,6 +848,8 @@ class _TotalEngine(_VertexEngine):
             egcd[u], egcd[v] = old_u, old_v
             elab[ei] = 0
             self.free ^= 1 << val
+        if self.nodes > start:
+            self._store(self._edge_key(j) if key is None else key, self.nodes - start)
         return False
 
     def labeling(self) -> Labeling:
@@ -774,12 +860,18 @@ class _TotalEngine(_VertexEngine):
 
 
 def _run(engine, started: float) -> SearchOutcome:
+    # the engines recurse once per label placed: n + m levels at most, on
+    # top of the caller's stack
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + engine.g.n + engine.g.m)
     try:
         found = engine.run()
     except _OutOfBudget:
         return SearchOutcome(
             BUDGET_EXCEEDED, None, engine.nodes, time.perf_counter() - started
         )
+    finally:
+        sys.setrecursionlimit(depth)
     elapsed = time.perf_counter() - started
     if found:
         return SearchOutcome(FOUND, engine.labeling(), engine.nodes, elapsed)

@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 import runpy
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -431,6 +432,20 @@ def test_node_count_pins(call, status, nodes):
     assert (out.status, out.nodes_explored) == (status, nodes)
 
 
+def test_searches_deeper_than_the_recursion_limit():
+    # the engines recurse once per label: 1,500 and 1,200 levels, past the
+    # interpreter's default limit of 1,000, which is restored afterwards
+    limit = sys.getrecursionlimit()
+    path = build_family(FamilySpec("path", n=1_500))
+    out = find_prime(path)
+    assert (out.status, out.nodes_explored) == (FOUND, 1_500)
+    assert verify_prime(path, out.labeling).valid
+    out = find_total_prime(cycle(600))
+    assert (out.status, out.nodes_explored) == (FOUND, 1_595)
+    assert_total_prime(cycle(600), out.labeling, "cycle 600")
+    assert sys.getrecursionlimit() == limit
+
+
 # place_vertex calls of three searches.  A value that fails a check already
 # decided before placement (the odd-label count, an emptied neighbor domain)
 # is refused without being placed, and a vertex-engine state whose subtree
@@ -580,6 +595,13 @@ def reordered_states(draw):
     return g, limit, labeled, labels, draw(st.permutations(labels))
 
 
+def _placed(g, limit, labeled, labels):
+    engine = search._VertexEngine(g, SearchConfig(), limit)
+    for v, label in zip(labeled, labels):
+        engine.place_vertex(v, label)
+    return engine
+
+
 # every even label is used and 1, 2 trade places: only bit 2 tells which of
 # vertices 0 and 4 has an even-labeled neighbor
 @example((make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]), 7,
@@ -591,9 +613,7 @@ def test_state_key_fixes_what_the_subtree_reads(case):
     g, limit, labeled, labels, reordered = case
 
     def reads(labels):
-        engine = search._VertexEngine(g, SearchConfig(), limit)
-        for v, label in zip(labeled, labels):
-            engine.place_vertex(v, label)
+        engine = _placed(g, limit, labeled, labels)
         vlab = engine.vlab
         unlabeled = [v for v in range(g.n) if not vlab[v]]
         even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
@@ -605,6 +625,126 @@ def test_state_key_fixes_what_the_subtree_reads(case):
     other_key, other_state = reads(reordered)
     if key == other_key:
         assert state == other_state
+
+
+def full_scan_pick(engine):
+    """The most constrained vertex by a scan over every unlabeled vertex:
+    the reference for the engine's scan over the frontier."""
+    best, best_allowed = -1, 0
+    best_size, best_nbrs = engine.limit + 1, 0
+    for v in range(engine.g.n):
+        if engine.vlab[v]:
+            continue
+        allowed = engine.free & ~engine.blocked[v]
+        size = allowed.bit_count()
+        if size < best_size or (size == best_size and engine.labeled_nbrs[v] > best_nbrs):
+            best, best_allowed = v, allowed
+            best_size, best_nbrs = size, engine.labeled_nbrs[v]
+            if size == 0:
+                break
+    return best, best_allowed
+
+
+def full_width_key(engine):
+    """A state key with one field per vertex, 1 when it is labeled and
+    ``blocked[v] & (free | 4)`` when not: the reference for the engine's key,
+    which holds the labeled mask and the fields of the frontier only."""
+    size = engine.field_bytes
+    seen = engine.free | 4
+    fields = [engine.free, *engine.vodd]
+    fields += [1 if lab else mask & seen for lab, mask in zip(engine.vlab, engine.blocked)]
+    return b"".join(field.to_bytes(size, "little") for field in fields)
+
+
+@st.composite
+def moved_states(draw):
+    """Two states of one graph and label limit that use the same labels, on
+    the same vertices in another order or on other vertices."""
+    g, limit, labeled, labels, reordered = draw(reordered_states())
+    if draw(st.booleans()):
+        return g, limit, labeled, labels, labeled, reordered
+    moved = draw(st.permutations(range(g.n)))[: len(labeled)]
+    return g, limit, labeled, labels, moved, reordered
+
+
+@given(moved_states())
+@settings(max_examples=150, deadline=None)
+def test_frontier_pick_matches_full_scan(case):
+    g, limit, labeled, labels, moved, reordered = case
+    for engine in (
+        _placed(g, limit, [], []),
+        _placed(g, limit, labeled, labels),
+        _placed(g, limit, moved, reordered),
+    ):
+        assert engine._pick_vertex(len(labeled)) == full_scan_pick(engine)
+
+
+@example((make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]), 7,
+          [1, 3, 2, 5, 6], [1, 2, 5, 4, 6], [1, 3, 2, 5, 6], [2, 1, 5, 4, 6]))
+# the frontier is vertex 1 either way, with the same field: only the labeled
+# mask tells the states apart
+@example((make_graph(3, [(0, 1), (1, 2)]), 3, [0], [1], [2], [1]))
+@given(moved_states())
+@settings(max_examples=150, deadline=None)
+def test_state_key_matches_full_width_key(case):
+    # two states share a key exactly when they share the full-width key
+    g, limit, labeled, labels, moved, reordered = case
+    first = _placed(g, limit, labeled, labels)
+    second = _placed(g, limit, moved, reordered)
+    assert (first._state_key() == second._state_key()) == (
+        full_width_key(first) == full_width_key(second)
+    )
+
+
+@st.composite
+def small_graphs(draw, max_labels=None):
+    """Graphs on at most 7 vertices; with ``max_labels``, n + m stays within it."""
+    n = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    if not pairs:
+        return make_graph(n, [])
+    max_size = len(pairs) if max_labels is None else min(len(pairs), max_labels - n)
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size))
+    return make_graph(n, edges)
+
+
+def _edge_phase_reads(engine):
+    """Everything the edge phase can read below its current state."""
+    internal, pending = engine.internal, engine.pending
+    return (
+        engine.free,
+        engine.odds_left,
+        engine.need,
+        [(pool.uncovered, pool.pairs) for pool in engine.pools],
+        [bool(lab) for lab in engine.elab],
+        list(pending),
+        [
+            (x, engine.egcd[x], bool(engine.odd_inc[x]))
+            for x in range(engine.g.n)
+            if internal[x] and pending[x]
+        ],
+    )
+
+
+# C4+C6 enters the edge phase under vertex labelings that leave the same
+# labels free, so its edge keys come back
+@example(cycle_union(4, 6), None)
+@given(small_graphs(max_labels=14), st.none() | st.integers(0, 99))
+@settings(max_examples=60, deadline=None)
+def test_edge_key_fixes_what_the_edge_phase_reads(g, seed):
+    # when two edge-phase states' keys agree, so must everything it reads
+    seen = {}
+    assign_edge = search._TotalEngine._assign_edge
+
+    def watched(engine, j):
+        if j < g.m:
+            reads = _edge_phase_reads(engine)
+            assert seen.setdefault(engine._edge_key(j), reads) == reads
+        return assign_edge(engine, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._TotalEngine, "_assign_edge", watched)
+        _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
 
 
 @given(vertex_calls())
@@ -620,6 +760,22 @@ def test_table_keeps_budget_outcomes():
 
     for budget in [*range(1, 3255, 51), 3254, 3255]:
         assert _vertex_outcome(call(budget)) == _without_table(call(budget)), budget
+
+
+def test_edge_phase_replays(monkeypatch):
+    # C4+C6 spends its budget in the edge phase under its first vertex
+    # labeling, which has no edge completion; without replays it makes
+    # 20,104 edge-phase calls
+    calls = []
+    assign_edge = search._TotalEngine._assign_edge
+
+    def counted(engine, j):
+        calls.append(j)
+        return assign_edge(engine, j)
+
+    monkeypatch.setattr(search._TotalEngine, "_assign_edge", counted)
+    out = find_total_prime(cycle_union(4, 6), SearchConfig(node_budget=30_000))
+    assert (out.status, out.nodes_explored, len(calls)) == (BUDGET_EXCEEDED, 30_001, 3_398)
 
 
 @given(vertex_calls(), st.integers(1, 3))
@@ -638,25 +794,30 @@ def test_table_stays_under_its_cap(monkeypatch):
 
     def watched(engine, count):
         found = assign(engine, count)
-        sizes.append((len(engine.exhausted), len(engine.older)))
+        key_bytes = sum(map(len, engine.exhausted))
+        sizes.append((len(engine.exhausted), len(engine.older), key_bytes))
         return found
 
     monkeypatch.setattr(search._VertexEngine, "_assign", watched)
     uncapped = _vertex_outcome(lambda: find_coprime(complete(7), 12))
-    assert max(newer for newer, _ in sizes) > 6
+    assert max(newer for newer, _, _ in sizes) > 6
     sizes.clear()
     monkeypatch.setattr(search, "_GENERATION_CAP", 3)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
     # each generation fills to the cap, and the older one turns over
-    assert max(newer for newer, _ in sizes) == 3
-    assert max(map(sum, sizes)) == 6
+    assert max(newer for newer, _, _ in sizes) == 3
+    assert max(newer + older for newer, older, _ in sizes) == 6
     sizes.clear()
     monkeypatch.setattr(search, "_GENERATION_CAP", 8_192)
-    # a key of K7 into 1..12 is 9 fields of 2 bytes: free, the odd count of
-    # its one class and the 7 vertices; a generation holds 3 such keys
-    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 18)
+    # a key of K7 into 1..12 is a 1-byte labeled mask and 2-byte fields:
+    # free, the odd count of its one class and each frontier vertex, which on
+    # K7 is every unlabeled vertex once one is labeled; so a key takes 7 to 17
+    # bytes, and a generation of 51 bytes holds 3 to 7 keys
+    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 17)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
-    assert max(newer for newer, _ in sizes) == 3
+    assert max(key_bytes for _, _, key_bytes in sizes) <= 51
+    assert 3 <= max(newer for newer, _, _ in sizes) <= 7
+    assert max(older for _, older, _ in sizes) >= 3
 
 
 def test_time_budget_trips_among_replays(monkeypatch):
@@ -721,18 +882,6 @@ def test_tree_demands_match_branching():
 
 
 # --- brute-force oracle: the definitions alone, no engine pruning rule --------
-
-@st.composite
-def small_graphs(draw, max_labels=None):
-    """Graphs on at most 7 vertices; with ``max_labels``, n + m stays within it."""
-    n = draw(st.integers(1, 7))
-    pairs = list(itertools.combinations(range(n), 2))
-    if not pairs:
-        return make_graph(n, [])
-    max_size = len(pairs) if max_labels is None else min(len(pairs), max_labels - n)
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size))
-    return make_graph(n, edges)
-
 
 def coprime_oracle(g, bound):
     """Some injection of the vertices into 1..bound keeps every edge coprime."""
