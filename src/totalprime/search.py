@@ -81,58 +81,47 @@ turnover; a dropped state is searched again and spends the nodes its replay
 would have added.  Node counts, statuses and labelings are those of the
 search without the table.
 
-Keys are joined from fixed-width fields, so they are built in time linear
-in their length: the labeled mask in ``n // 8 + 1`` bytes, then fields of
-``limit // 8 + 1`` bytes.  A vertex-phase key holds ``free``; each class's
-count of odd vertex labels; and ``blocked[v] & (free | 4)`` for each
-frontier vertex v (unlabeled, with a labeled neighbor) in index order.  The
-labeled mask fixes the frontier, so the fields line up, and a vertex off the
-frontier has ``blocked[v] == 0``: equal keys mean equal odd counts, labeled
-sets and ``blocked[v] & (free | 4)`` at every unlabeled vertex.  Everything
-the subtree reads follows from that: the domains ``free & ~blocked[v]``;
-``labeled_nbrs`` and the frontier, from the labeled set; ``odds_left``, the
-odd bits of ``free``; ``vdeficit``, from the odd counts; the
-neighbor-wipeout check; ``place_vertex``'s updates, since blocked labels
-that are no longer free stay out of every later domain; the forest rule's
-eligibility, as bit 2 of ``blocked[v]`` is set exactly when v has an
-even-labeled neighbor; and symmetry breaking, which keeps vertex 0's label
-below every other label, so that the label it compares against (vertex
-0's, or the smallest elsewhere while vertex 0 is unlabeled) is the smallest
-label not in ``free``.
+The key joins fields of ``limit // 8 + 1`` bytes each, so it is built in
+time linear in its length: ``free``; each class's count of odd vertex
+labels; per vertex in index order 1 when labeled, else
+``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
+set, so it cannot be taken for a labeled one.  Everything the subtree reads
+follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
+from the labeled set; ``odds_left``, the odd bits of ``free``;
+``vdeficit``, from the odd counts; the neighbor-wipeout check;
+``place_vertex``'s updates, since blocked labels that are no longer free
+stay out of every later domain; the forest rule's eligibility, as bit 2 of
+``blocked[v]`` is set exactly when v has an even-labeled neighbor; and
+symmetry breaking, which keeps vertex 0's label below every other label, so
+that the label it compares against (vertex 0's, or the smallest elsewhere
+while vertex 0 is unlabeled) is the smallest label not in ``free``.
 
-The vertex-phase key stays exact when the edge phase is the leaf.  The edge
-phase never reads a vertex label: it reads ``free`` and its own state (edge
-labels, the gcds and pending counts at each vertex, the cover pools), which
-it restores on exit.  ``need`` is constant during the vertex phase, and
-``vdeficit`` is 0 once every vertex is labeled, since the even labels of a
-component form an independent set.
+The key stays exact when the edge phase is the leaf.  The edge phase never
+reads a vertex label: it reads ``free`` and its own state (edge labels, the
+gcds and pending counts at each vertex, the cover pools), which it restores
+on exit.  ``need`` is constant during the vertex phase, and ``vdeficit`` is
+0 once every vertex is labeled, since the even labels of a component form an
+independent set.
 
-An edge-phase key, taken before the j-th edge of the edge order, holds the
-mask of every vertex labeled, which no vertex-phase key has (those are
-built with a vertex still to label); ``free``; and the incident gcd of each
-open vertex, one of degree >= 2 with an edge still to label, in index
-order.  That is all the phase reads from there.  ``free`` has m - j bits,
-so it fixes j: the labeled edges, the pending counts and the open
-vertices.  ``odds_left`` is the odd bits of ``free``.  The last-edge rule
-reads the gcds of open vertices only.  A vertex has an odd incident edge
-exactly when its gcd is odd, and a vertex of degree >= 2 whose edges are
-all labeled has gcd 1 by the last-edge rule, so the cover pools (uncovered
-members, unlabeled edges joining two of them) and ``need`` follow from the
-open gcds.
+An edge-phase key, taken before the j-th edge of the edge order, holds
+``free`` and then the incident gcd of each open vertex, one of degree >= 2
+with an edge still to label, in index order.  That is all the phase reads
+from there.  ``free`` has m - j bits, so it fixes j: the labeled edges, the
+pending counts and the open vertices.  A vertex-phase key opens with a
+``free`` of more than m bits, so the two kinds of key never meet.
+``odds_left`` is the odd bits of ``free``.  The last-edge rule reads the
+gcds of open vertices only.  A vertex has an odd incident edge exactly when
+its gcd is odd, and a vertex of degree >= 2 whose edges are all labeled has
+gcd 1 by the last-edge rule, so the cover pools (uncovered members,
+unlabeled edges joining two of them) and ``need`` follow from the open gcds.
 
 Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
-which keeps backtracking shallow even on 50-vertex trees.  It scans the
-frontier only, which ``place_vertex`` keeps as a mask beside the labeled
-one, so a node costs the size of its frontier rather than n: a vertex off
-the frontier has no labeled neighbor and all of ``free`` as its domain,
-while a frontier vertex has a labeled neighbor and a domain inside
-``free``, so it always ranks ahead; an empty domain occurs only on the
-frontier; and with no frontier every unlabeled vertex ties, so the lowest
-unlabeled index wins.  The total search replaces that choice with a
-Prim-style sweep seeded at the highest-degree vertex, and labels the edges
-grouped by that vertex order so each vertex's incident set completes early.
-Values are tried ascending unless a shuffle seed is set.
+which keeps backtracking shallow even on 50-vertex trees.  The total search
+replaces that choice with a Prim-style sweep seeded at the highest-degree
+vertex, and labels the edges grouped by that vertex order so each vertex's
+incident set completes early.  Values are tried ascending unless a
+shuffle seed is set.
 """
 
 from __future__ import annotations
@@ -332,14 +321,20 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
 
 # Entries a generation of the vertex engine's table of exhausted states
 # holds before it turns over (see the module docstring), so the table holds
-# at most twice as many.  An entry takes about 130 bytes on grid 6x6 (keys of
-# 43 bytes on average), so the table stays under about 2 MB there; the
-# largest table on the search_deep benchmark holds 3,481 entries.  A
-# generation also holds at most ``_GENERATION_BYTES`` of keys, counted as
-# they are stored, which caps it below ``_GENERATION_CAP`` once keys average
-# more than 256 bytes (a 500-cycle's total search stores keys of 567 bytes).
+# at most twice as many.  An entry takes about 240 bytes on grid 6x6, so the
+# table stays under about 4 MB there; the largest table on the search_deep
+# benchmark holds 3,481 entries.  A generation also holds at most
+# ``_GENERATION_BYTES`` of keys, counted as they are stored, which caps it
+# below ``_GENERATION_CAP`` once keys average more than 256 bytes (a
+# vertex-phase key of n vertices and limit L takes about n * L / 8 bytes:
+# 63 KB on a 500-cycle's total search).
 _GENERATION_CAP = 8_192
 _GENERATION_BYTES = 2 << 20
+
+# Recursion levels a search may add to the interpreter's limit: one per
+# label, up to this many, which the test suite reaches on every supported
+# Python version.
+_EXTRA_DEPTH = 1_500
 
 # Conflict masks up to the largest label limit asked for so far, built on
 # first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
@@ -427,13 +422,6 @@ class _VertexEngine:
         self.labeled_nbrs = [0] * g.n
         self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
-        # vertex masks: bit v of ``labeled`` is set while v is labeled, and of
-        # ``frontier`` while v is unlabeled with a labeled neighbor; each
-        # placement pushes the frontier it replaces onto ``frontiers``
-        self.nbr_mask = [sum(1 << u for u in nbrs) for nbrs in g.adjacency]
-        self.labeled = 0
-        self.frontier = 0
-        self.frontiers: list[int] = []
         self.nodes = 0
         self.deadline = (
             time.perf_counter() + cfg.time_budget if cfg.time_budget else None
@@ -454,11 +442,13 @@ class _VertexEngine:
         self.exhausted: dict[bytes, int] = {}
         self.older: dict[bytes, int] = {}
         self.exhausted_bytes = 0  # the bytes of the keys in ``exhausted``
-        # a state key opens with the labeled mask in ``mask_bytes`` bytes;
-        # each further field takes ``field_bytes``: every field is below
-        # 2 ** (limit + 1), or is at most 4 when limit < 2
-        self.mask_bytes = g.n // 8 + 1
+        # each field of a state key takes this many bytes: every field is
+        # below 2 ** (limit + 1), or is at most 4 when limit < 2
         self.field_bytes = limit // 8 + 1
+        # the fields of labeled vertices and of vertices with no labeled
+        # neighbor are the same every time, so they are made once
+        self.labeled_field = (1).to_bytes(self.field_bytes, "little")
+        self.unblocked_field = bytes(self.field_bytes)
 
     def spend(self) -> None:
         self.nodes += 1
@@ -517,9 +507,6 @@ class _VertexEngine:
                 trail.append(blocked[u])
                 blocked[u] |= conflict
                 labeled_nbrs[u] += 1
-        self.frontiers.append(self.frontier)
-        self.labeled |= 1 << v
-        self.frontier = (self.frontier | self.nbr_mask[v]) & ~self.labeled
         if val & 1:
             cls = self.vertex_class[v]
             self.odds_left -= 1
@@ -534,8 +521,6 @@ class _VertexEngine:
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit += 1
             self.odds_left += 1
-        self.frontier = self.frontiers.pop()
-        self.labeled ^= 1 << v
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
@@ -561,15 +546,15 @@ class _VertexEngine:
         size = self.field_bytes
         free = self.free
         seen = free | 4
-        blocked = self.blocked
-        parts = [self.labeled.to_bytes(self.mask_bytes, "little"), free.to_bytes(size, "little")]
+        labeled, unblocked = self.labeled_field, self.unblocked_field
+        parts = [free.to_bytes(size, "little")]
         for odd in self.vodd:
             parts.append(odd.to_bytes(size, "little"))
-        frontier = self.frontier
-        while frontier:
-            low = frontier & -frontier
-            parts.append((blocked[low.bit_length() - 1] & seen).to_bytes(size, "little"))
-            frontier ^= low
+        for lab, mask in zip(self.vlab, self.blocked):
+            if lab:
+                parts.append(labeled)
+            else:
+                parts.append((mask & seen).to_bytes(size, "little") if mask else unblocked)
         return b"".join(parts)
 
     def _replayed(self, key: bytes) -> bool:
@@ -604,21 +589,16 @@ class _VertexEngine:
     def _pick_vertex(self, count: int) -> tuple[int, int]:
         """The unassigned vertex minimising (domain size, -labeled neighbors,
         index), with its domain as a mask; stops early at an empty domain.
-        ``count`` vertices are labeled so far.  Only the frontier is scanned;
-        the module docstring says why that picks the same vertex."""
+        ``count`` vertices are labeled so far."""
         free = self.free
-        frontier = self.frontier
-        if not frontier:
-            labeled = self.labeled
-            return ((labeled + 1) & ~labeled).bit_length() - 1, free
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
+        vlab = self.vlab
         best, best_allowed = -1, 0
         best_size, best_nbrs = self.limit + 1, 0
-        while frontier:
-            low = frontier & -frontier
-            v = low.bit_length() - 1
-            frontier ^= low
+        for v in range(self.g.n):
+            if vlab[v]:
+                continue
             allowed = free & ~blocked[v]
             size = allowed.bit_count()
             if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
@@ -758,9 +738,6 @@ class _TotalEngine(_VertexEngine):
                 if self.internal[x]:
                     open_mask |= 1 << x
             self.open_masks[j] = open_mask
-        # edge-phase keys open with every vertex labeled, a mask that no
-        # vertex-phase key has
-        self.all_labeled = ((1 << g.n) - 1).to_bytes(self.mask_bytes, "little")
         self.pending = [g.degree(v) for v in range(g.n)]
         self.egcd = [0] * g.n
         self.odd_inc = [0] * g.n
@@ -785,7 +762,7 @@ class _TotalEngine(_VertexEngine):
         module docstring says why it fixes all that the phase reads."""
         size = self.field_bytes
         egcd = self.egcd
-        parts = [self.all_labeled, self.free.to_bytes(size, "little")]
+        parts = [self.free.to_bytes(size, "little")]
         open_mask = self.open_masks[j]
         while open_mask:
             low = open_mask & -open_mask
@@ -861,9 +838,11 @@ class _TotalEngine(_VertexEngine):
 
 def _run(engine, started: float) -> SearchOutcome:
     # the engines recurse once per label placed: n + m levels at most, on
-    # top of the caller's stack
+    # top of the caller's stack.  Before Python 3.11 each level also takes C
+    # stack, so at most _EXTRA_DEPTH levels are added, and a deeper search
+    # still ends in RecursionError rather than overflowing it.
     depth = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + engine.g.n + engine.g.m)
+    sys.setrecursionlimit(depth + min(engine.g.n + engine.g.m, _EXTRA_DEPTH))
     try:
         found = engine.run()
     except _OutOfBudget:

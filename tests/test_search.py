@@ -446,6 +446,16 @@ def test_searches_deeper_than_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def test_searches_past_the_added_depth_raise_recursion_error():
+    # a search adds at most _EXTRA_DEPTH levels to the limit: a 1,300-cycle's
+    # total search needs 2,600 and stops at the raised limit, the deepest
+    # stack any search reaches, with the limit restored afterwards
+    limit = sys.getrecursionlimit()
+    with pytest.raises(RecursionError):
+        find_total_prime(cycle(1_300))
+    assert sys.getrecursionlimit() == limit
+
+
 # place_vertex calls of three searches.  A value that fails a check already
 # decided before placement (the odd-label count, an emptied neighbor domain)
 # is refused without being placed, and a vertex-engine state whose subtree
@@ -595,13 +605,6 @@ def reordered_states(draw):
     return g, limit, labeled, labels, draw(st.permutations(labels))
 
 
-def _placed(g, limit, labeled, labels):
-    engine = search._VertexEngine(g, SearchConfig(), limit)
-    for v, label in zip(labeled, labels):
-        engine.place_vertex(v, label)
-    return engine
-
-
 # every even label is used and 1, 2 trade places: only bit 2 tells which of
 # vertices 0 and 4 has an even-labeled neighbor
 @example((make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]), 7,
@@ -613,7 +616,9 @@ def test_state_key_fixes_what_the_subtree_reads(case):
     g, limit, labeled, labels, reordered = case
 
     def reads(labels):
-        engine = _placed(g, limit, labeled, labels)
+        engine = search._VertexEngine(g, SearchConfig(), limit)
+        for v, label in zip(labeled, labels):
+            engine.place_vertex(v, label)
         vlab = engine.vlab
         unlabeled = [v for v in range(g.n) if not vlab[v]]
         even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
@@ -625,75 +630,6 @@ def test_state_key_fixes_what_the_subtree_reads(case):
     other_key, other_state = reads(reordered)
     if key == other_key:
         assert state == other_state
-
-
-def full_scan_pick(engine):
-    """The most constrained vertex by a scan over every unlabeled vertex:
-    the reference for the engine's scan over the frontier."""
-    best, best_allowed = -1, 0
-    best_size, best_nbrs = engine.limit + 1, 0
-    for v in range(engine.g.n):
-        if engine.vlab[v]:
-            continue
-        allowed = engine.free & ~engine.blocked[v]
-        size = allowed.bit_count()
-        if size < best_size or (size == best_size and engine.labeled_nbrs[v] > best_nbrs):
-            best, best_allowed = v, allowed
-            best_size, best_nbrs = size, engine.labeled_nbrs[v]
-            if size == 0:
-                break
-    return best, best_allowed
-
-
-def full_width_key(engine):
-    """A state key with one field per vertex, 1 when it is labeled and
-    ``blocked[v] & (free | 4)`` when not: the reference for the engine's key,
-    which holds the labeled mask and the fields of the frontier only."""
-    size = engine.field_bytes
-    seen = engine.free | 4
-    fields = [engine.free, *engine.vodd]
-    fields += [1 if lab else mask & seen for lab, mask in zip(engine.vlab, engine.blocked)]
-    return b"".join(field.to_bytes(size, "little") for field in fields)
-
-
-@st.composite
-def moved_states(draw):
-    """Two states of one graph and label limit that use the same labels, on
-    the same vertices in another order or on other vertices."""
-    g, limit, labeled, labels, reordered = draw(reordered_states())
-    if draw(st.booleans()):
-        return g, limit, labeled, labels, labeled, reordered
-    moved = draw(st.permutations(range(g.n)))[: len(labeled)]
-    return g, limit, labeled, labels, moved, reordered
-
-
-@given(moved_states())
-@settings(max_examples=150, deadline=None)
-def test_frontier_pick_matches_full_scan(case):
-    g, limit, labeled, labels, moved, reordered = case
-    for engine in (
-        _placed(g, limit, [], []),
-        _placed(g, limit, labeled, labels),
-        _placed(g, limit, moved, reordered),
-    ):
-        assert engine._pick_vertex(len(labeled)) == full_scan_pick(engine)
-
-
-@example((make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]), 7,
-          [1, 3, 2, 5, 6], [1, 2, 5, 4, 6], [1, 3, 2, 5, 6], [2, 1, 5, 4, 6]))
-# the frontier is vertex 1 either way, with the same field: only the labeled
-# mask tells the states apart
-@example((make_graph(3, [(0, 1), (1, 2)]), 3, [0], [1], [2], [1]))
-@given(moved_states())
-@settings(max_examples=150, deadline=None)
-def test_state_key_matches_full_width_key(case):
-    # two states share a key exactly when they share the full-width key
-    g, limit, labeled, labels, moved, reordered = case
-    first = _placed(g, limit, labeled, labels)
-    second = _placed(g, limit, moved, reordered)
-    assert (first._state_key() == second._state_key()) == (
-        full_width_key(first) == full_width_key(second)
-    )
 
 
 @st.composite
@@ -732,9 +668,11 @@ def _edge_phase_reads(engine):
 @given(small_graphs(max_labels=14), st.none() | st.integers(0, 99))
 @settings(max_examples=60, deadline=None)
 def test_edge_key_fixes_what_the_edge_phase_reads(g, seed):
-    # when two edge-phase states' keys agree, so must everything it reads
+    # when two edge-phase states' keys agree, so must everything it reads;
+    # and no edge-phase key is the key of a vertex-phase state
     seen = {}
-    assign_edge = search._TotalEngine._assign_edge
+    vertex_keys = set()
+    assign, assign_edge = search._TotalEngine._assign, search._TotalEngine._assign_edge
 
     def watched(engine, j):
         if j < g.m:
@@ -742,9 +680,16 @@ def test_edge_key_fixes_what_the_edge_phase_reads(g, seed):
             assert seen.setdefault(engine._edge_key(j), reads) == reads
         return assign_edge(engine, j)
 
+    def watched_vertex(engine, count):
+        if count < g.n:
+            vertex_keys.add(engine._state_key())
+        return assign(engine, count)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search._TotalEngine, "_assign_edge", watched)
+        patch.setattr(search._TotalEngine, "_assign", watched_vertex)
         _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
+    assert not vertex_keys & seen.keys()
 
 
 @given(vertex_calls())
@@ -809,15 +754,13 @@ def test_table_stays_under_its_cap(monkeypatch):
     assert max(newer + older for newer, older, _ in sizes) == 6
     sizes.clear()
     monkeypatch.setattr(search, "_GENERATION_CAP", 8_192)
-    # a key of K7 into 1..12 is a 1-byte labeled mask and 2-byte fields:
-    # free, the odd count of its one class and each frontier vertex, which on
-    # K7 is every unlabeled vertex once one is labeled; so a key takes 7 to 17
-    # bytes, and a generation of 51 bytes holds 3 to 7 keys
-    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 17)
+    # a key of K7 into 1..12 is 9 fields of 2 bytes: free, the odd count of
+    # its one class and the 7 vertices; a generation holds 3 such keys
+    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 18)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
-    assert max(key_bytes for _, _, key_bytes in sizes) <= 51
-    assert 3 <= max(newer for newer, _, _ in sizes) <= 7
-    assert max(older for _, older, _ in sizes) >= 3
+    assert max(key_bytes for _, _, key_bytes in sizes) == 3 * 18
+    assert max(newer for newer, _, _ in sizes) == 3
+    assert max(older for _, older, _ in sizes) == 3
 
 
 def test_time_budget_trips_among_replays(monkeypatch):
