@@ -87,7 +87,7 @@ labels; per vertex in index order 1 when labeled, else
 ``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
 set, so it cannot be taken for a labeled one.  Everything the subtree reads
 follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
-from the labeled set; ``odds_left``, the odd bits of ``free``;
+from the labeled set; ``odds_left()``, from ``free``;
 ``vdeficit``, from the odd counts; the neighbor-wipeout check;
 ``place_vertex``'s updates, since blocked labels that are no longer free
 stay out of every later domain; the forest rule's eligibility, as bit 2 of
@@ -98,7 +98,7 @@ while vertex 0 is unlabeled) is the smallest label not in ``free``.
 
 The key stays exact when the edge phase is the leaf.  The edge phase never
 reads a vertex label: it reads ``free`` and its own state (edge labels, the
-gcds and pending counts at each vertex, the cover pools), which it restores
+gcd of the labeled edges at each vertex, the cover pools), which it restores
 on exit.  ``need`` is constant during the vertex phase, and ``vdeficit`` is
 0 once every vertex is labeled, since the even labels of a component form an
 independent set.
@@ -106,14 +106,15 @@ independent set.
 An edge-phase key, taken before the j-th edge of the edge order, holds
 ``free`` and then the incident gcd of each open vertex, one of degree >= 2
 with an edge still to label, in index order.  That is all the phase reads
-from there.  ``free`` has m - j bits, so it fixes j: the labeled edges, the
-pending counts and the open vertices.  A vertex-phase key opens with a
-``free`` of more than m bits, so the two kinds of key never meet.
-``odds_left`` is the odd bits of ``free``.  The last-edge rule reads the
-gcds of open vertices only.  A vertex has an odd incident edge exactly when
-its gcd is odd, and a vertex of degree >= 2 whose edges are all labeled has
-gcd 1 by the last-edge rule, so the cover pools (uncovered members,
-unlabeled edges joining two of them) and ``need`` follow from the open gcds.
+from there.  ``free`` has m - j bits, so it fixes j: the labeled edges,
+the open vertices, ``odds_left()``, and the vertices edge j is the last
+edge of (those that leave the open set after it), whose gcds are all the
+last-edge rule reads.  A vertex-phase key opens with a ``free`` of more
+than m bits, so the two kinds of key never meet.  A vertex has an odd
+incident edge exactly when its gcd is odd, and a vertex of degree >= 2
+whose edges are all labeled has gcd 1 by the last-edge rule, so the cover
+pools (uncovered members, unlabeled edges joining two of them) and ``need``
+follow from the open gcds.
 
 Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
@@ -433,7 +434,8 @@ class _VertexEngine:
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
         self.vertex_class = comp_of
-        self.odds_left = (limit + 1) // 2
+        # the odd labels: bits 1, 3, 5, ... up to limit, twice 1 + 4 + 16 + ...
+        self.odd_labels = (4 ** ((limit + 1) // 2) - 1) // 3 * 2
         self.need = 0
         self.is_forest = g.m == g.n - len(reqs)
         # state key -> nodes spent by a subtree searched to exhaustion from
@@ -482,17 +484,21 @@ class _VertexEngine:
                 values = [val for val in values if val >= vlab[0]]
         return values
 
+    def odds_left(self) -> int:
+        """The number of odd labels still unused."""
+        return (self.free & self.odd_labels).bit_count()
+
     def feasible(self) -> bool:
         """The odd labels left must cover the odd vertex labels and the odd
         edge labels still required; vertex placements never move ``need``."""
-        return self.vdeficit + self.need <= self.odds_left
+        return self.vdeficit + self.need <= self.odds_left()
 
     def odd_values_fail(self, v: int) -> bool:
         """Whether an odd label at v breaks the odd-label count: it does when
         v's class already has its odd vertex labels and none is spare.  Even
         labels leave the count as it was, and the count held before v."""
         cls = self.vertex_class[v]
-        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + self.need == self.odds_left
+        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + self.need == self.odds_left()
 
     def place_vertex(self, v: int, val: int) -> None:
         self.free ^= 1 << val
@@ -509,7 +515,6 @@ class _VertexEngine:
                 labeled_nbrs[u] += 1
         if val & 1:
             cls = self.vertex_class[v]
-            self.odds_left -= 1
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit -= 1
             self.vodd[cls] += 1
@@ -520,7 +525,6 @@ class _VertexEngine:
             self.vodd[cls] -= 1
             if self.vodd[cls] < self.vreq[cls]:
                 self.vdeficit += 1
-            self.odds_left += 1
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
@@ -535,7 +539,7 @@ class _VertexEngine:
     def _even_placement_ok(self, unassigned: int) -> bool:
         """On forests: the evens still forced onto vertices must fit an
         independent set of unassigned vertices with no even neighbor."""
-        evens_needed = unassigned - self.odds_left
+        evens_needed = unassigned - self.odds_left()
         return evens_needed <= 0 or len(
             _forest_independent_set(self.bottom_up, self.parent, self.vlab, self.blocked)
         ) >= evens_needed
@@ -665,12 +669,18 @@ class _CoverPool:
     along an unassigned edge joining them, so at least
     ``max(ceil(uncovered / 2), uncovered - pairs)`` odd edge labels are still
     required.
+
+    It reads the engine's ``elab`` and ``egcd`` in place, a vertex being
+    covered when its gcd is odd, so ``count_edge`` runs while ``elab`` holds
+    the edge's label and ``egcd`` does not count it.
     """
 
-    __slots__ = ("member", "is_pair", "pairs_at", "uncovered", "pairs")
+    __slots__ = ("member", "is_pair", "pairs_at", "uncovered", "pairs", "elab", "egcd")
 
-    def __init__(self, g: Graph, member: list[bool]):
+    def __init__(self, g: Graph, member: list[bool], elab: list[int], egcd: list[int]):
         self.member = member
+        self.elab = elab
+        self.egcd = egcd
         self.is_pair = [member[u] and member[v] for u, v in g.edges]
         self.pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for ei, (u, v) in enumerate(g.edges):
@@ -686,22 +696,21 @@ class _CoverPool:
             return 0
         return max((cnt + 1) // 2, cnt - self.pairs)
 
-    def count_edge(
-        self, ei: int, u: int, v: int, odd: int, step: int, elab, odd_inc
-    ) -> None:
-        """Take edge ei = (u, v) out of the counts (``step`` -1, right after it
-        is labeled) or put it back (+1, right before its label is cleared);
-        at both moments ``odd_inc`` does not count its label."""
-        if self.is_pair[ei] and not odd_inc[u] and not odd_inc[v]:
+    def count_edge(self, ei: int, u: int, v: int, odd: int, step: int) -> None:
+        """Take edge ei = (u, v) out of the counts (``step`` -1, after
+        ``elab[ei]`` is set and before the gcds at u and v take it in) or put
+        it back (+1, after they are restored, before ``elab[ei]`` is cleared)."""
+        egcd = self.egcd
+        if self.is_pair[ei] and not egcd[u] & 1 and not egcd[v] & 1:
             self.pairs += step
         if not odd:
             return
-        member = self.member
+        member, elab = self.member, self.elab
         for x in (u, v):
-            if member[x] and not odd_inc[x]:
+            if member[x] and not egcd[x] & 1:
                 self.uncovered += step
                 for e2, w in self.pairs_at[x]:
-                    if not elab[e2] and not odd_inc[w]:
+                    if not elab[e2] and not egcd[w] & 1:
                         self.pairs += step
 
 
@@ -727,27 +736,26 @@ class _TotalEngine(_VertexEngine):
 
         self.eorder = sorted(range(g.m), key=earlier_end_first)
         self.elab = [0] * g.m
-        self.internal = [g.degree(v) >= 2 for v in range(g.n)]
+        # the gcd of the labels on each vertex's labeled edges (0 while none)
+        self.egcd = [0] * g.n
+        internal = [g.degree(v) >= 2 for v in range(g.n)]
         # bit v of open_masks[j] is set when v has degree >= 2 and an edge in
         # eorder[j:]: the vertices whose incident gcd the edge phase reads
-        # from edge j on
-        self.open_masks = [0] * g.m
+        # from edge j on; open_masks[m] is 0
+        self.open_masks = [0] * (g.m + 1)
         open_mask = 0
         for j in reversed(range(g.m)):
             for x in g.edges[self.eorder[j]]:
-                if self.internal[x]:
+                if internal[x]:
                     open_mask |= 1 << x
             self.open_masks[j] = open_mask
-        self.pending = [g.degree(v) for v in range(g.n)]
-        self.egcd = [0] * g.n
-        self.odd_inc = [0] * g.n
         # the degree-exactly-2 pool pairs only along degree2-degree2 edges,
         # which is sometimes the sharper bound; the need is the max of both
         # (one pool when the two vertex sets coincide)
         d2 = [g.degree(v) == 2 for v in range(g.n)]
-        self.pools = [_CoverPool(g, self.internal)]
-        if d2 != self.internal:
-            self.pools.append(_CoverPool(g, d2))
+        self.pools = [_CoverPool(g, internal, self.elab, self.egcd)]
+        if d2 != internal:
+            self.pools.append(_CoverPool(g, d2, self.elab, self.egcd))
         self.need = max(pool.need() for pool in self.pools)
 
     def _pick_vertex(self, count: int) -> tuple[int, int]:
@@ -783,46 +791,34 @@ class _TotalEngine(_VertexEngine):
         u, v = self.g.edges[ei]
         elab = self.elab
         egcd = self.egcd
-        pending = self.pending
-        odd_inc = self.odd_inc
         pools = self.pools
         # the last edge at a vertex of degree >= 2 must be coprime to the gcd
-        # of the labels already on its other edges
+        # of the labels already on its other edges; edge j is the last of
+        # the vertices that drop out of the open set after it
         allowed = self.free
-        if self.internal[u] and pending[u] == 1:
+        closing = self.open_masks[j] & ~self.open_masks[j + 1]
+        if closing >> u & 1:
             allowed &= ~self.conflict[egcd[u]]
-        if self.internal[v] and pending[v] == 1:
+        if closing >> v & 1:
             allowed &= ~self.conflict[egcd[v]]
         for val in self.values_in(allowed):
             self.spend()
             self.free ^= 1 << val
             elab[ei] = val
-            old_u, old_v = egcd[u], egcd[v]
-            egcd[u] = gcd(old_u, val)
-            egcd[v] = gcd(old_v, val)
-            pending[u] -= 1
-            pending[v] -= 1
             odd = val & 1
             need = self.need
             for pool in pools:
-                pool.count_edge(ei, u, v, odd, -1, elab, odd_inc)
+                pool.count_edge(ei, u, v, odd, -1)
             self.need = max(pool.need() for pool in pools)
-            if odd:
-                self.odds_left -= 1
-                odd_inc[u] += 1
-                odd_inc[v] += 1
+            old_u, old_v = egcd[u], egcd[v]
+            egcd[u] = gcd(old_u, val)
+            egcd[v] = gcd(old_v, val)
             if self.feasible() and self._assign_edge(j + 1):
                 return True
-            if odd:
-                odd_inc[u] -= 1
-                odd_inc[v] -= 1
-                self.odds_left += 1
-            for pool in pools:
-                pool.count_edge(ei, u, v, odd, 1, elab, odd_inc)
-            self.need = need
-            pending[u] += 1
-            pending[v] += 1
             egcd[u], egcd[v] = old_u, old_v
+            for pool in pools:
+                pool.count_edge(ei, u, v, odd, 1)
+            self.need = need
             elab[ei] = 0
             self.free ^= 1 << val
         if self.nodes > start:

@@ -195,6 +195,12 @@ class TestMalformedInput:
         assert main(["verify", "--in", str(path)]) == 2
         assert "has no 'graph' or 'labeling' field" in capsys.readouterr().err
 
+    def test_deeply_nested_document_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "nests deeper than JSON decoding allows" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, field",
         [
@@ -374,6 +380,16 @@ class TestSearchCommand:
             "-n", "3", "--node-budget", "5",
         )
         assert json.loads(out)["status"] == "budget_exceeded"
+
+    def test_too_deep_search_is_an_error(self, capsys):
+        # a 1,300-cycle's total search needs 2,600 levels, past the 1,500 a
+        # search may add to the recursion limit
+        code = main(["search", "--total-prime", "--family", "cycle", "-n", "1300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: search too deep")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 class TestMcnCommand:

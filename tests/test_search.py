@@ -623,7 +623,8 @@ def test_state_key_fixes_what_the_subtree_reads(case):
         unlabeled = [v for v in range(g.n) if not vlab[v]]
         even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
         domains = [engine.free & ~engine.blocked[v] for v in unlabeled]
-        state = (domains, even_nbr, engine.vodd, engine.vdeficit, engine.odds_left)
+        odds_left = sum(engine.free >> x & 1 for x in range(1, limit + 1, 2))
+        state = (domains, even_nbr, engine.vodd, engine.vdeficit, odds_left)
         return engine._state_key(), state
 
     key, state = reads(labels)
@@ -644,20 +645,33 @@ def small_graphs(draw, max_labels=None):
     return make_graph(n, edges)
 
 
+def _edge_counts(g, elab):
+    """Per vertex, its unlabeled incident edges and whether one of its
+    labeled incident edges is odd, counted from the edge labels."""
+    pending = [0] * g.n
+    odd_edge = [False] * g.n
+    for (u, v), lab in zip(g.edges, elab):
+        for x in (u, v):
+            pending[x] += not lab
+            odd_edge[x] |= lab % 2 == 1
+    return pending, odd_edge
+
+
 def _edge_phase_reads(engine):
-    """Everything the edge phase can read below its current state."""
-    internal, pending = engine.internal, engine.pending
+    """Everything the edge phase can read below its current state (``free``
+    fixes the odd labels left)."""
+    g = engine.g
+    pending, odd_edge = _edge_counts(g, engine.elab)
     return (
         engine.free,
-        engine.odds_left,
         engine.need,
         [(pool.uncovered, pool.pairs) for pool in engine.pools],
         [bool(lab) for lab in engine.elab],
-        list(pending),
+        pending,
         [
-            (x, engine.egcd[x], bool(engine.odd_inc[x]))
-            for x in range(engine.g.n)
-            if internal[x] and pending[x]
+            (x, engine.egcd[x], odd_edge[x])
+            for x in range(g.n)
+            if g.degree(x) >= 2 and pending[x]
         ],
     )
 
@@ -690,6 +704,35 @@ def test_edge_key_fixes_what_the_edge_phase_reads(g, seed):
         patch.setattr(search._TotalEngine, "_assign", watched_vertex)
         _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
     assert not vertex_keys & seen.keys()
+
+
+@example(cycle_union(4, 6), None)
+@given(small_graphs(max_labels=14), st.none() | st.integers(0, 99))
+@settings(max_examples=60, deadline=None)
+def test_cover_pools_match_a_recount(g, seed):
+    # at every edge-phase call, each pool's counts and ``need`` are those a
+    # recount from the edge labels gives: a member is uncovered while none
+    # of its labeled edges is odd, and a pair is an unlabeled edge joining
+    # two uncovered members
+    assign_edge = search._TotalEngine._assign_edge
+
+    def watched(engine, j):
+        odd_edge = _edge_counts(g, engine.elab)[1]
+        counts = []
+        for pool in engine.pools:
+            uncovered = [pool.member[x] and not odd_edge[x] for x in range(g.n)]
+            pairs = sum(
+                not lab and uncovered[u] and uncovered[v]
+                for (u, v), lab in zip(g.edges, engine.elab)
+            )
+            counts.append((sum(uncovered), pairs))
+        assert [(pool.uncovered, pool.pairs) for pool in engine.pools] == counts
+        assert engine.need == max(max((c + 1) // 2, c - p) for c, p in counts)
+        return assign_edge(engine, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._TotalEngine, "_assign_edge", watched)
+        _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
 
 
 @given(vertex_calls())
