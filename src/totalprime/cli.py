@@ -18,8 +18,7 @@ failed check or ``mcn`` no labeling up to ``--k-max`` (every bound
 exhausted, or a budget spent); 2 usage errors, bad parameters, families or
 sizes without a construction, or malformed input documents; 3 files that
 cannot be read or decoded.  ``search`` exits 0 whatever it decides and
-reports the outcome as ``status`` in its JSON; a search deeper than the
-recursion levels it may add exits 2.  ``label`` never searches.
+reports the outcome as ``status`` in its JSON.  ``label`` never searches.
 """
 
 from __future__ import annotations
@@ -145,18 +144,6 @@ def _search_config(args: argparse.Namespace) -> search_mod.SearchConfig:
     return search_mod.SearchConfig(**kwargs)
 
 
-def _searched(find, *args):
-    """``find(*args)``, with a search too deep for the recursion levels it
-    may add reported as an error rather than a traceback."""
-    try:
-        return find(*args)
-    except RecursionError:
-        raise InvalidParameterError(
-            "search too deep: it recurses once per label and may add only "
-            f"{search_mod._EXTRA_DEPTH} levels to the interpreter's recursion limit"
-        ) from None
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     _emit_json(args, graph.to_json_dict())
@@ -193,7 +180,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
     cfg = _search_config(args)
     find = search_mod.find_prime if args.prime else search_mod.find_total_prime
-    outcome = _searched(find, graph, cfg)
+    outcome = find(graph, cfg)
     _emit_json(args, outcome.to_json_dict())
     return 0
 
@@ -203,7 +190,7 @@ def _cmd_mcn(args: argparse.Namespace) -> int:
     k_max = args.k_max if args.k_max is not None else max(4 * graph.n, graph.n)
     cfg = _search_config(args)
     try:
-        result = _searched(search_mod.minimum_coprime_number, graph, k_max, cfg)
+        result = search_mod.minimum_coprime_number(graph, k_max, cfg)
     except NotFoundWithinBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -70,16 +70,18 @@ not searched again; a count that passes ``node_budget`` stops the search
 exactly where ``spend()`` would have, and a hit also checks the deadline.
 Only a subtree that returned no labeling after spending at least one node
 is stored: every placement below it was undone, so the state at its exit is
-the state at its entry.  Keys are built and looked up only once the table
-holds an entry, so a search that never fails builds none.  The table keeps
-two generations so that memory stays bounded on long searches: new entries
-go to the newer one, a lookup reads both, and an entry that would take the
-newer one past ``_GENERATION_CAP`` entries or ``_GENERATION_BYTES`` of keys
-first makes it the older one, dropping the previous older one.  The states
-a search is still coming back to are mostly recent, so they survive the
-turnover; a dropped state is searched again and spends the nodes its replay
-would have added.  Node counts, statuses and labelings are those of the
-search without the table.
+the state at its entry.  A state is looked up before its vertex is picked;
+one whose pick finds an empty domain spends no node and is never stored.
+Keys are built and looked up only once the table holds an entry, so a
+search that never fails builds none.  The table keeps two generations so
+that memory stays bounded on long searches: new entries go to the newer
+one, a lookup reads both, and an entry that would take the newer one past
+``_GENERATION_CAP`` entries or ``_GENERATION_BYTES`` of keys first makes it
+the older one, dropping the previous older one.  The states a search is
+still coming back to are mostly recent, so they survive the turnover; a
+dropped state is searched again and spends the nodes its replay would have
+added.  Node counts, statuses and labelings are those of the search without
+the table.
 
 The key joins fields of ``limit // 8 + 1`` bytes each, so it is built in
 time linear in its length: ``free``; each class's count of odd vertex
@@ -121,13 +123,20 @@ Variable order: the vertex engine picks the most constrained vertex next
 which keeps backtracking shallow even on 50-vertex trees.  The total search
 replaces that choice with a Prim-style sweep seeded at the highest-degree
 vertex, and labels the edges grouped by that vertex order so each vertex's
-incident set completes early.  Values are tried ascending unless a
-shuffle seed is set.
+incident set completes early.  Values are tried ascending, each peeled as
+the lowest set bit of the mask of untried values, unless a shuffle seed is
+set; then the seeded order of all labels is read through the mask.  No
+search step lists its domain.
+
+Explicit stack: ``_assign`` and ``_assign_edge`` return True or False when
+the state decides at once, else a step: a generator that tries one vertex's
+or edge's values, yields each sub-search and is sent its result.  ``_drive``
+runs the steps on a list of suspended generators, so no search touches the
+interpreter's recursion limit, however many labels deep it goes.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from math import gcd
 from random import Random
@@ -308,18 +317,6 @@ def _component_requirements(g: Graph):
     return reqs, comp_of, bottom_up, parent
 
 
-def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
-    """Each value's place in the seeded shuffle of 1..limit (None: ascending)."""
-    if seed is None:
-        return None
-    values = list(range(1, limit + 1))
-    Random(seed).shuffle(values)
-    rank = [0] * (limit + 1)
-    for place, val in enumerate(values):
-        rank[val] = place
-    return rank
-
-
 # Entries a generation of the vertex engine's table of exhausted states
 # holds before it turns over (see the module docstring), so the table holds
 # at most twice as many.  An entry takes about 240 bytes on grid 6x6, so the
@@ -331,11 +328,6 @@ def _value_rank(limit: int, seed: Optional[int]) -> Optional[list[int]]:
 # 63 KB on a 500-cycle's total search).
 _GENERATION_CAP = 8_192
 _GENERATION_BYTES = 2 << 20
-
-# Recursion levels a search may add to the interpreter's limit: one per
-# label, up to this many, which the test suite reaches on every supported
-# Python version.
-_EXTRA_DEPTH = 1_500
 
 # Conflict masks up to the largest label limit asked for so far, built on
 # first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
@@ -381,6 +373,7 @@ def _vertex_order(g: Graph) -> list[int]:
     unconstrained assignments.
     """
     n = g.n
+    degrees = list(map(len, g.adjacency))
     ordered: list[int] = []
     placed = [False] * n
     seen_nbrs = [0] * n
@@ -390,7 +383,7 @@ def _vertex_order(g: Graph) -> list[int]:
         for v in range(n):
             if placed[v]:
                 continue
-            key = (seen_nbrs[v], g.degree(v), -v)
+            key = (seen_nbrs[v], degrees[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
         ordered.append(best)
@@ -416,7 +409,10 @@ class _VertexEngine:
         self.g = g
         self.cfg = cfg
         self.limit = limit
-        self.rank = _value_rank(limit, cfg.randomize)
+        self.order = None  # values are tried ascending, or in this order
+        if cfg.randomize is not None:
+            self.order = list(range(1, limit + 1))
+            Random(cfg.randomize).shuffle(self.order)
         self.conflict = _conflict_masks(limit)
         self.free = (2 << limit) - 2
         self.blocked = [0] * g.n
@@ -460,29 +456,9 @@ class _VertexEngine:
             if time.perf_counter() > self.deadline:
                 raise _OutOfBudget
 
-    def values_in(self, mask: int) -> list[int]:
-        """The values whose bits are set in ``mask``, in try order."""
-        values = []
-        while mask:
-            low = mask & -mask
-            values.append(low.bit_length() - 1)
-            mask ^= low
-        if self.rank is not None:
-            values.sort(key=self.rank.__getitem__)
-        return values
-
-    def vertex_values(self, v: int, allowed: int) -> list[int]:
-        """The values of ``allowed`` (a mask) in try order, less those that
-        symmetry breaking rules out for v."""
-        values = self.values_in(allowed)
-        if self.cfg.symmetry_breaking:
-            vlab = self.vlab
-            if v == 0:
-                others = [vlab[u] for u in range(1, self.g.n) if vlab[u]]
-                values = [val for val in values if all(val <= lu for lu in others)]
-            elif vlab[0]:
-                values = [val for val in values if val >= vlab[0]]
-        return values
+    def seeded(self, mask: int):
+        """The values of ``mask`` in the seeded order, read as they are tried."""
+        return (x for x in self.order if mask >> x & 1)
 
     def odds_left(self) -> int:
         """The number of odd labels still unused."""
@@ -612,33 +588,45 @@ class _VertexEngine:
                     break
         return best, best_allowed
 
-    def run(self) -> bool:
-        return self.feasible() and self._assign(0)
-
-    def _leaf(self) -> bool:
-        """Search what is left once every vertex is labeled: nothing here."""
+    def _leaf(self):
+        """The search of what is left once every vertex is labeled: none."""
         return True
 
-    def _assign(self, count: int) -> bool:
+    def _assign(self, count: int):
+        """The search of the vertices left once ``count`` are labeled."""
         if count == self.g.n:
             return self._leaf()
-        v, allowed = self._pick_vertex(count)
-        if not allowed:
-            return False
         key = None
         if self.exhausted:  # a search that never fails builds no key
             key = self._state_key()
             if self._replayed(key):
                 return False
+        v, allowed = self._pick_vertex(count)
+        if not allowed:
+            return False
+        return self._try_vertex(count, v, allowed, key)
+
+    def _try_vertex(self, count: int, v: int, allowed: int, key):
+        """The step that tries v's values; ``key`` is None if not built."""
+        free, blocked, vlab = self.free, self.blocked, self.vlab
+        if self.cfg.symmetry_breaking:  # vertex 0 takes the smallest label
+            if v == 0:
+                others = [lab for lab in vlab if lab]
+                if others:
+                    allowed &= (2 << min(others)) - 1
+            elif vlab[0]:
+                allowed &= -(1 << vlab[0])
         start = self.nodes
         odd_fails = self.odd_values_fail(v)
         # a value that empties the domain of an unlabeled neighbor leaves that
         # neighbor nothing to take, so it is refused here before place_vertex
         # rewrites the neighbors' masks
-        free, blocked, vlab = self.free, self.blocked, self.vlab
         domains = [free & ~blocked[u] for u in self.g.adjacency[v] if not vlab[u]]
         conflict = self.conflict
-        for val in self.vertex_values(v, allowed):
+        seeded = None if self.order is None else self.seeded(allowed)
+        while allowed:
+            val = (allowed & -allowed).bit_length() - 1 if seeded is None else next(seeded)
+            allowed ^= 1 << val
             self.spend()
             if val & 1 and odd_fails:
                 continue
@@ -648,7 +636,7 @@ class _VertexEngine:
             self.place_vertex(v, val)
             if (
                 not self.is_forest or self._even_placement_ok(self.g.n - count - 1)
-            ) and self._assign(count + 1):
+            ) and (yield self._assign(count + 1)):
                 return True
             self.unplace_vertex(v, val)
         if self.nodes > start:
@@ -762,7 +750,7 @@ class _TotalEngine(_VertexEngine):
         v = self.vorder[count]
         return v, self.free & ~self.blocked[v]
 
-    def _leaf(self) -> bool:
+    def _leaf(self):
         return self._assign_edge(0)
 
     def _edge_key(self, j: int) -> bytes:
@@ -778,7 +766,8 @@ class _TotalEngine(_VertexEngine):
             open_mask ^= low
         return b"".join(parts)
 
-    def _assign_edge(self, j: int) -> bool:
+    def _assign_edge(self, j: int):
+        """The search of edges ``eorder[j:]``."""
         if j == len(self.eorder):
             return True
         key = None
@@ -786,6 +775,10 @@ class _TotalEngine(_VertexEngine):
             key = self._edge_key(j)
             if self._replayed(key):
                 return False
+        return self._try_edge(j, key)
+
+    def _try_edge(self, j: int, key):
+        """The step that tries the values of edge ``eorder[j]``."""
         start = self.nodes
         ei = self.eorder[j]
         u, v = self.g.edges[ei]
@@ -801,7 +794,10 @@ class _TotalEngine(_VertexEngine):
             allowed &= ~self.conflict[egcd[u]]
         if closing >> v & 1:
             allowed &= ~self.conflict[egcd[v]]
-        for val in self.values_in(allowed):
+        seeded = None if self.order is None else self.seeded(allowed)
+        while allowed:
+            val = (allowed & -allowed).bit_length() - 1 if seeded is None else next(seeded)
+            allowed ^= 1 << val
             self.spend()
             self.free ^= 1 << val
             elab[ei] = val
@@ -813,7 +809,7 @@ class _TotalEngine(_VertexEngine):
             old_u, old_v = egcd[u], egcd[v]
             egcd[u] = gcd(old_u, val)
             egcd[v] = gcd(old_v, val)
-            if self.feasible() and self._assign_edge(j + 1):
+            if self.feasible() and (yield self._assign_edge(j + 1)):
                 return True
             egcd[u], egcd[v] = old_u, old_v
             for pool in pools:
@@ -832,21 +828,34 @@ class _TotalEngine(_VertexEngine):
         )
 
 
+def _drive(search) -> bool:
+    """Run a search (True, False or a step; see the module docstring) to its
+    end, each step waiting, suspended, while its sub-searches run."""
+    suspended = []
+    while True:
+        if search.__class__ is bool:
+            result = search
+        else:
+            suspended.append(search)
+            result = None
+        while suspended:
+            try:
+                search = suspended[-1].send(result)
+                break
+            except StopIteration as done:
+                suspended.pop()
+                result = done.value
+        else:
+            return result
+
+
 def _run(engine, started: float) -> SearchOutcome:
-    # the engines recurse once per label placed: n + m levels at most, on
-    # top of the caller's stack.  Before Python 3.11 each level also takes C
-    # stack, so at most _EXTRA_DEPTH levels are added, and a deeper search
-    # still ends in RecursionError rather than overflowing it.
-    depth = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + min(engine.g.n + engine.g.m, _EXTRA_DEPTH))
     try:
-        found = engine.run()
+        found = engine.feasible() and _drive(engine._assign(0))
     except _OutOfBudget:
         return SearchOutcome(
             BUDGET_EXCEEDED, None, engine.nodes, time.perf_counter() - started
         )
-    finally:
-        sys.setrecursionlimit(depth)
     elapsed = time.perf_counter() - started
     if found:
         return SearchOutcome(FOUND, engine.labeling(), engine.nodes, elapsed)

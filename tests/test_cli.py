@@ -381,15 +381,11 @@ class TestSearchCommand:
         )
         assert json.loads(out)["status"] == "budget_exceeded"
 
-    def test_too_deep_search_is_an_error(self, capsys):
-        # a 1,300-cycle's total search needs 2,600 levels, past the 1,500 a
-        # search may add to the recursion limit
-        code = main(["search", "--total-prime", "--family", "cycle", "-n", "1300"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: search too deep")
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
+    def test_deep_search_is_found(self, capsys):
+        # a 1,300-cycle's total search is 2,600 labels deep
+        code, out = run(capsys, "search", "--total-prime", "--family", "cycle", "-n", "1300")
+        assert code == 0
+        assert json.loads(out)["status"] == "found"
 
 
 class TestMcnCommand:

@@ -5,6 +5,7 @@ import pickle
 import random
 import runpy
 import sys
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -433,8 +434,8 @@ def test_node_count_pins(call, status, nodes):
 
 
 def test_searches_deeper_than_the_recursion_limit():
-    # the engines recurse once per label: 1,500 and 1,200 levels, past the
-    # interpreter's default limit of 1,000, which is restored afterwards
+    # 1,500 and 1,200 labels deep, past the interpreter's default recursion
+    # limit of 1,000, which the searches leave as it was
     limit = sys.getrecursionlimit()
     path = build_family(FamilySpec("path", n=1_500))
     out = find_prime(path)
@@ -446,14 +447,32 @@ def test_searches_deeper_than_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
-def test_searches_past_the_added_depth_raise_recursion_error():
-    # a search adds at most _EXTRA_DEPTH levels to the limit: a 1,300-cycle's
-    # total search needs 2,600 and stops at the raised limit, the deepest
-    # stack any search reaches, with the limit restored afterwards
+def test_searches_run_on_an_explicit_stack():
+    # a 2,500-cycle's total search is 5,000 labels deep, and it runs under a
+    # recursion limit of 200, which it leaves as it was
     limit = sys.getrecursionlimit()
-    with pytest.raises(RecursionError):
-        find_total_prime(cycle(1_300))
-    assert sys.getrecursionlimit() == limit
+    try:
+        sys.setrecursionlimit(200)
+        out = find_total_prime(cycle(2_500))
+        assert sys.getrecursionlimit() == 200
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == FOUND
+    assert_total_prime(cycle(2_500), out.labeling, "cycle 2500")
+
+
+def test_deep_prime_search_stays_small():
+    # a search step holds no list of its domain, so memory grows with n, not
+    # with n times the label limit
+    path = build_family(FamilySpec("path", n=600))
+    tracemalloc.start()
+    try:
+        out = find_prime(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status == FOUND
+    assert peak < 2 << 20
 
 
 # place_vertex calls of three searches.  A value that fails a check already
@@ -780,8 +799,9 @@ def test_table_stays_under_its_cap(monkeypatch):
     sizes = []
     assign = search._VertexEngine._assign
 
+    # a search step: the sizes are read once the sub-search has finished
     def watched(engine, count):
-        found = assign(engine, count)
+        found = yield assign(engine, count)
         key_bytes = sum(map(len, engine.exhausted))
         sizes.append((len(engine.exhausted), len(engine.older), key_bytes))
         return found
