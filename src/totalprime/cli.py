@@ -131,7 +131,20 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _emit(args, json.dumps(payload))
 
 
+# the families whose graphs are vertex-transitive, the only ones on which
+# pinning the smallest vertex label to vertex 0 loses no labeling
+_SYMMETRIC_FAMILIES = ("cycle", "complete", "prism", "cycle-power")
+
+
 def _search_config(args: argparse.Namespace) -> search_mod.SearchConfig:
+    if args.symmetry_breaking and (
+        args.infile or args.family.replace("_", "-") not in _SYMMETRIC_FAMILIES
+    ):
+        raise InvalidParameterError(
+            "--symmetry-breaking is sound only on the vertex-transitive families"
+            f" {', '.join(_SYMMETRIC_FAMILIES)}, not on "
+            + ("a graph read with --in" if args.infile else f"family {args.family}")
+        )
     kwargs: dict = {}
     if args.node_budget is not None:
         kwargs["node_budget"] = args.node_budget

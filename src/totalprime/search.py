@@ -9,15 +9,14 @@ odd edge labels still required (``need``) in its odd-label count; its leaf,
 reached once every vertex is labeled, is the edge phase.
 
 Representation: label sets are Python ints used as bitsets, bit x standing
-for label x.  A table of conflict masks (bit y of the mask of x is set when
-gcd(x, y) > 1) is built on first use from the primes of a
-``numtheory.PrimeTable``, grown when a larger label limit is asked for and
-kept at module level; smaller limits mask it down.  The
-engines keep a ``free`` mask of unused labels and, per unlabeled vertex, a
-``blocked`` mask: the union of the conflict masks of its labeled neighbors,
-updated when a neighbor is labeled and restored from a trail when the label
-is taken back.  A vertex's domain is ``free & ~blocked[v]``; candidate
-values are read off its set bits.
+for label x.  Each engine builds its own table of conflict masks up to its
+label limit (bit y of the mask of x is set when gcd(x, y) > 1), sieving the
+primes as it goes; nothing is kept between calls.  The engines keep a
+``free`` mask of unused labels and, per unlabeled vertex, a ``blocked``
+mask: the union of the conflict masks of its labeled neighbors, updated
+when a neighbor is labeled and restored from a trail when the label is
+taken back.  A vertex's domain is ``free & ~blocked[v]``; candidate values
+are read off its set bits.
 
 Pruning:
 
@@ -138,6 +137,7 @@ interpreter's recursion limit, however many labels deep it goes.
 from __future__ import annotations
 
 import time
+from heapq import heapify, heappop, heappush
 from math import gcd
 from random import Random
 from typing import NamedTuple, Optional
@@ -145,7 +145,6 @@ from typing import NamedTuple, Optional
 from .errors import InvalidParameterError, NotFoundWithinBoundError
 from .graphs import Edge, FamilySpec, Graph, build_family
 from .labeling import Labeling
-from .numtheory import PrimeTable
 
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
@@ -329,39 +328,27 @@ def _component_requirements(g: Graph):
 _GENERATION_CAP = 8_192
 _GENERATION_BYTES = 2 << 20
 
-# Conflict masks up to the largest label limit asked for so far, built on
-# first use: bit y of ``_CONFLICTS[x]`` is set when 1 <= y <= top and
-# gcd(x, y) > 1 (index 0 is unused and holds 0).  Smaller limits mask it down,
-# so the process keeps one table.
-_CONFLICTS: list[int] = [0]
-
 
 def _conflict_masks(limit: int) -> list[int]:
-    """The conflict mask of every value up to ``limit``."""
-    global _CONFLICTS
-    if limit >= len(_CONFLICTS):
-        # at least doubling the table lets the increasing bounds of
-        # minimum_coprime_number rebuild it only a logarithmic number of times
-        top = max(limit, 2 * (len(_CONFLICTS) - 1))
-        # each value's mask is the union of the multiples of its prime factors
-        keep = (2 << top) - 1
-        table = [0] * (top + 1)
-        for p in PrimeTable(top).primes:  # a PrimeTable sieves at least to 4
-            if p > top:
-                break
-            # bits p, 2p, ..., (top // p) * p, doubling the run of multiples
-            multiples, span = 1 << p, p
-            while span < top:
-                multiples |= multiples << span
-                span *= 2
-            multiples &= keep
-            for x in range(p, top + 1, p):
-                table[x] |= multiples
-        _CONFLICTS = table
-    if limit == len(_CONFLICTS) - 1:
-        return _CONFLICTS
+    """The conflict mask of every value up to ``limit``: bit y of entry x is
+    set when 1 <= y <= limit and gcd(x, y) > 1 (entries 0 and 1 hold 0).
+
+    The table sieves itself: an entry still 0 when the loop reaches it is a
+    prime, whose multiples mask is ORed into the entry of each multiple."""
     keep = (2 << limit) - 1
-    return [mask & keep for mask in _CONFLICTS[: limit + 1]]
+    table = [0] * (limit + 1)
+    for p in range(2, limit + 1):
+        if table[p]:
+            continue
+        # bits p, 2p, ..., (limit // p) * p, doubling the run of multiples
+        multiples, span = 1 << p, p
+        while span < limit:
+            multiples |= multiples << span
+            span *= 2
+        multiples &= keep
+        for x in range(p, limit + 1, p):
+            table[x] |= multiples
+    return table
 
 
 def _vertex_order(g: Graph) -> list[int]:
@@ -372,24 +359,24 @@ def _vertex_order(g: Graph) -> list[int]:
     adjacent-coprimality conflicts surface immediately instead of after deep
     unconstrained assignments.
     """
-    n = g.n
     degrees = list(map(len, g.adjacency))
+    placed = [False] * g.n
+    seen_nbrs = [0] * g.n
+    # the smallest entry is the vertex to place next; a vertex's newest entry
+    # is its smallest, since seen_nbrs only grows, so older ones are skipped
+    heap = [(0, -d, v) for v, d in enumerate(degrees)]
+    heapify(heap)
     ordered: list[int] = []
-    placed = [False] * n
-    seen_nbrs = [0] * n
-    for _ in range(n):
-        best = None
-        best_key = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            key = (seen_nbrs[v], degrees[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+    while heap:
+        best = heappop(heap)[2]
+        if placed[best]:
+            continue
         ordered.append(best)
         placed[best] = True
         for u in g.adjacency[best]:
-            seen_nbrs[u] += 1
+            if not placed[u]:
+                seen_nbrs[u] += 1
+                heappush(heap, (-seen_nbrs[u], -degrees[u], u))
     return ordered
 
 
@@ -866,8 +853,6 @@ def find_total_prime(g: Graph, cfg: Optional[SearchConfig] = None) -> SearchOutc
     """Decide total prime labelability by complete backtracking."""
     cfg = cfg or SearchConfig()
     started = time.perf_counter()
-    if g.n == 0:
-        return SearchOutcome(FOUND, Labeling([], {}), 0, 0.0)
     return _run(_TotalEngine(g, cfg), started)
 
 
@@ -884,8 +869,6 @@ def find_coprime(
         raise InvalidParameterError("bound below vertex count")
     cfg = cfg or SearchConfig()
     started = time.perf_counter()
-    if g.n == 0:
-        return SearchOutcome(FOUND, Labeling([], {}), 0, 0.0)
     return _run(_VertexEngine(g, cfg, bound), started)
 
 
@@ -958,16 +941,6 @@ class OddCountCertificate(NamedTuple):
     threshold: int
     order: int
     copies: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "needed_odd": self.needed_odd,
-            "available_odd": self.available_odd,
-            "threshold": self.threshold,
-            "order": self.order,
-            "copies": self.copies,
-        }
 
 
 def union_c3_infeasibility_certificate(order: int, copies: int) -> OddCountCertificate:

@@ -399,6 +399,50 @@ class TestMcnCommand:
         assert code == 1
 
 
+class TestSymmetryBreaking:
+    # pinning the smallest label to vertex 0 is sound only on vertex-transitive
+    # graphs; on the path-power P4^2 it would prove a false "no labeling"
+    @pytest.fixture
+    def doc(self, tmp_path, capsys):
+        path = tmp_path / "c6.json"
+        run(capsys, "generate", "--family", "cycle", "-n", "6", "--out", str(path))
+        return path
+
+    @pytest.mark.parametrize("command", [["search", "--prime"], ["mcn"]], ids=["search", "mcn"])
+    @pytest.mark.parametrize("source", ["family", "in"])
+    def test_refused_off_the_symmetric_families(self, doc, capsys, command, source):
+        graph = (
+            ["--family", "path-power", "-n", "4", "-k", "2"]
+            if source == "family" else ["--in", str(doc)]
+        )
+        assert main([*command, *graph, "--symmetry-breaking"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --symmetry-breaking ")
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            ["--family", "cycle", "-n", "6"],
+            ["--family", "complete", "-n", "4"],
+            ["--family", "prism", "-n", "4"],
+            ["--family", "cycle-power", "-n", "7", "-k", "2"],
+        ],
+        ids=lambda graph: graph[1],
+    )
+    @pytest.mark.parametrize(
+        "command, field",
+        [(["search", "--prime"], "status"), (["mcn"], "value")],
+        ids=["search", "mcn"],
+    )
+    def test_accepted_on_the_symmetric_families(self, capsys, graph, command, field):
+        code, out = run(capsys, *command, *graph)
+        pinned_code, pinned_out = run(capsys, *command, *graph, "--symmetry-breaking")
+        assert pinned_code == code == 0
+        assert json.loads(pinned_out)[field] == json.loads(out)[field]
+
+
 class TestBoundsCommand:
     def test_small_sweep(self, capsys):
         code, out = run(capsys, "bounds", "--n-max", "50", "--pi-limit", "5000")

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import pickle
+import os
 import random
 import runpy
+import subprocess
 import sys
 import tracemalloc
 from math import gcd
@@ -334,9 +336,9 @@ class TestSearchConfig:
 
 
 def test_conflict_masks_match_gcd():
-    # 7 and 1 are masked down from a larger table; 31 grows it
-    for limit in (30, 7, 31, 1):
+    for limit in (0, 1, 2, 7, 30, 31):
         masks = search._conflict_masks(limit)
+        assert len(masks) == limit + 1 and masks[0] == 0
         for x in range(1, limit + 1):
             assert masks[x] == sum(1 << y for y in range(1, limit + 1) if gcd(x, y) > 1)
 
@@ -473,6 +475,72 @@ def test_deep_prime_search_stays_small():
         tracemalloc.stop()
     assert out.status == FOUND
     assert peak < 2 << 20
+
+
+def test_search_keeps_no_table_after_it_returns():
+    # each engine builds its own conflict masks, so nothing of a search
+    # outlives it but its outcome; a fresh interpreter, since an earlier test
+    # would have grown any table kept between calls
+    code = """
+import tracemalloc
+from totalprime.graphs import FamilySpec, build_family
+from totalprime.search import FOUND, find_prime
+path = build_family(FamilySpec("path", n=1_500))
+tracemalloc.start()
+out = find_prime(path)
+assert out.status == FOUND, out.status
+print(tracemalloc.get_traced_memory()[0])
+"""
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 128 << 10
+
+
+def test_empty_graph_is_decided_by_the_engines():
+    empty = make_graph(0, [])
+    for out in (
+        find_total_prime(empty),
+        find_prime(empty),
+        find_coprime(empty, 3),
+        minimum_coprime_number(empty, 2),
+    ):
+        assert (out.status, out.nodes_explored) == (FOUND, 0)
+        assert out.labeling.vertex_labels == [] and out.labeling.edge_labels == {}
+    assert minimum_coprime_number(empty, 2).value == 0
+
+
+def _sweep_order(g):
+    """The quadratic sweep ``_vertex_order`` replaced, kept as its reference:
+    each step scans every unplaced vertex for the largest (ordered neighbors,
+    degree, -index)."""
+    degrees = list(map(len, g.adjacency))
+    ordered, placed, seen_nbrs = [], [False] * g.n, [0] * g.n
+    for _ in range(g.n):
+        best = max(
+            (v for v in range(g.n) if not placed[v]),
+            key=lambda v: (seen_nbrs[v], degrees[v], -v),
+        )
+        ordered.append(best)
+        placed[best] = True
+        for u in g.adjacency[best]:
+            seen_nbrs[u] += 1
+    return ordered
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("cycle", n=1_300), FamilySpec("prism", n=250), FamilySpec("grid", m=30, n=30)],
+    ids=["cycle 1300", "prism 250", "grid 30x30"],
+)
+def test_vertex_order_matches_the_sweep(spec):
+    g = build_family(spec)
+    assert search._vertex_order(g) == _sweep_order(g)
 
 
 # place_vertex calls of three searches.  A value that fails a check already
@@ -662,6 +730,11 @@ def small_graphs(draw, max_labels=None):
     max_size = len(pairs) if max_labels is None else min(len(pairs), max_labels - n)
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size))
     return make_graph(n, edges)
+
+
+@given(small_graphs())
+def test_vertex_order_matches_the_sweep_on_small_graphs(g):
+    assert search._vertex_order(g) == _sweep_order(g)
 
 
 def _edge_counts(g, elab):
