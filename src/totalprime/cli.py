@@ -145,16 +145,9 @@ def _search_config(args: argparse.Namespace) -> search_mod.SearchConfig:
             f" {', '.join(_SYMMETRIC_FAMILIES)}, not on "
             + ("a graph read with --in" if args.infile else f"family {args.family}")
         )
-    kwargs: dict = {}
-    if args.node_budget is not None:
-        kwargs["node_budget"] = args.node_budget
-    if args.time_budget is not None:
-        kwargs["time_budget"] = args.time_budget
-    if args.symmetry_breaking:
-        kwargs["symmetry_breaking"] = True
-    if args.seed is not None:
-        kwargs["randomize"] = args.seed
-    return search_mod.SearchConfig(**kwargs)
+    return search_mod.SearchConfig(
+        args.node_budget, args.time_budget, args.symmetry_breaking, args.seed
+    )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -200,7 +193,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_mcn(args: argparse.Namespace) -> int:
     graph = _graph_from_args(args)
-    k_max = args.k_max if args.k_max is not None else max(4 * graph.n, graph.n)
+    k_max = args.k_max if args.k_max is not None else 4 * graph.n
     cfg = _search_config(args)
     try:
         result = search_mod.minimum_coprime_number(graph, k_max, cfg)
@@ -261,7 +254,9 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool = True) ->
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node-budget", type=int)
+    parser.add_argument(
+        "--node-budget", type=int, default=search_mod.SearchConfig().node_budget
+    )
     parser.add_argument("--time-budget", type=float)
     parser.add_argument("--symmetry-breaking", action="store_true")
     parser.add_argument("--seed", type=int)

@@ -154,65 +154,36 @@ INFEASIBLE = "infeasible"
 INCONCLUSIVE = "inconclusive"
 
 
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
+    node_budget: int = 100_000_000
+    time_budget: Optional[float] = None
+    symmetry_breaking: bool = False
+    randomize: Optional[int] = None
+
+
+class SearchConfig(_SearchConfigFields):
     """Budgets and knobs; results are deterministic for a fixed config.
 
     ``symmetry_breaking`` pins the smallest vertex label to vertex 0, which
-    is sound only for vertex-transitive inputs (cycles, complete graphs); the
-    caller is responsible for that judgement.  Configs are immutable.
+    is sound only for vertex-transitive inputs (cycles, complete graphs,
+    prisms, cycle powers); the caller is responsible for that judgement.
+    Every way of making a config (the constructor, ``_make``, ``_replace``,
+    copy and pickle) checks the budgets.
     """
 
-    __slots__ = ("node_budget", "time_budget", "symmetry_breaking", "randomize")
+    __slots__ = ()
 
-    node_budget: int
-    time_budget: Optional[float]
-    symmetry_breaking: bool
-    randomize: Optional[int]
-
-    def __init__(
-        self,
-        node_budget: int = 100_000_000,
-        time_budget: Optional[float] = None,
-        symmetry_breaking: bool = False,
-        randomize: Optional[int] = None,
-    ) -> None:
-        if node_budget <= 0:
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.node_budget <= 0:
             raise InvalidParameterError("node budget must be positive")
         # written so that NaN, which compares False both ways, is refused
-        if time_budget is not None and not time_budget > 0:
+        if cfg.time_budget is not None and not cfg.time_budget > 0:
             raise InvalidParameterError("time budget must be positive")
-        init = object.__setattr__
-        init(self, "node_budget", node_budget)
-        init(self, "time_budget", time_budget)
-        init(self, "symmetry_breaking", symmetry_breaking)
-        init(self, "randomize", randomize)
+        return cfg
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable SearchConfig")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable SearchConfig")
-
-    def _key(self) -> tuple:
-        return (self.node_budget, self.time_budget, self.symmetry_breaking, self.randomize)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"SearchConfig(node_budget={self.node_budget!r}, time_budget={self.time_budget!r}, "
-            f"symmetry_breaking={self.symmetry_breaking!r}, randomize={self.randomize!r})"
-        )
-
-    # pickle and copy rebuild through __init__, since assignment is refused
-    def __reduce__(self):
-        return SearchConfig, self._key()
+    # the inherited _make builds the tuple directly, skipping the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class SearchOutcome(NamedTuple):
@@ -390,11 +361,20 @@ class _VertexEngine:
     breaks ties in the choice of vertex.  A placement leaves both alone at its
     labeled neighbors, which never read them.  ``need`` is the number of odd
     edge labels still required: 0 here, kept by the total engine.
+
+    A search call's engines share its budgets: one starts from the ``nodes``
+    its call has spent before it, with the deadline ``time_budget`` after
+    ``started``, the call's start (now, by default).
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, limit: int, requirements=None):
+    def __init__(
+        self, g: Graph, cfg: SearchConfig, limit: int, requirements=None,
+        started: Optional[float] = None, nodes: int = 0,
+    ):
+        self.started = time.perf_counter() if started is None else started
         self.g = g
         self.cfg = cfg
+        self.node_budget = cfg.node_budget  # an attribute reads faster per node
         self.limit = limit
         self.order = None  # values are tried ascending, or in this order
         if cfg.randomize is not None:
@@ -406,10 +386,8 @@ class _VertexEngine:
         self.labeled_nbrs = [0] * g.n
         self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
-        self.nodes = 0
-        self.deadline = (
-            time.perf_counter() + cfg.time_budget if cfg.time_budget else None
-        )
+        self.nodes = nodes
+        self.deadline = self.started + cfg.time_budget if cfg.time_budget else None
         reqs, comp_of, self.bottom_up, self.parent = (
             requirements or _component_requirements(g)
         )
@@ -437,7 +415,7 @@ class _VertexEngine:
 
     def spend(self) -> None:
         self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
+        if self.nodes > self.node_budget:
             raise _OutOfBudget
         if self.deadline is not None and self.nodes % 1024 == 0:
             if time.perf_counter() > self.deadline:
@@ -534,8 +512,8 @@ class _VertexEngine:
             if spent is None:
                 return False
         self.nodes += spent
-        if self.nodes > self.cfg.node_budget:
-            self.nodes = self.cfg.node_budget + 1
+        if self.nodes > self.node_budget:
+            self.nodes = self.node_budget + 1
             raise _OutOfBudget
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise _OutOfBudget
@@ -836,14 +814,14 @@ def _drive(search) -> bool:
             return result
 
 
-def _run(engine, started: float) -> SearchOutcome:
+def _run(engine) -> SearchOutcome:
     try:
         found = engine.feasible() and _drive(engine._assign(0))
     except _OutOfBudget:
         return SearchOutcome(
-            BUDGET_EXCEEDED, None, engine.nodes, time.perf_counter() - started
+            BUDGET_EXCEEDED, None, engine.nodes, time.perf_counter() - engine.started
         )
-    elapsed = time.perf_counter() - started
+    elapsed = time.perf_counter() - engine.started
     if found:
         return SearchOutcome(FOUND, engine.labeling(), engine.nodes, elapsed)
     return SearchOutcome(EXHAUSTED, None, engine.nodes, elapsed)
@@ -851,9 +829,7 @@ def _run(engine, started: float) -> SearchOutcome:
 
 def find_total_prime(g: Graph, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
     """Decide total prime labelability by complete backtracking."""
-    cfg = cfg or SearchConfig()
-    started = time.perf_counter()
-    return _run(_TotalEngine(g, cfg), started)
+    return _run(_TotalEngine(g, cfg or SearchConfig()))
 
 
 def find_prime(g: Graph, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
@@ -867,9 +843,7 @@ def find_coprime(
     """Decide coprime labelability with labels drawn from 1..bound."""
     if bound < g.n:
         raise InvalidParameterError("bound below vertex count")
-    cfg = cfg or SearchConfig()
-    started = time.perf_counter()
-    return _run(_VertexEngine(g, cfg, bound), started)
+    return _run(_VertexEngine(g, cfg or SearchConfig(), bound))
 
 
 class MinimumCoprimeResult(NamedTuple):
@@ -886,39 +860,26 @@ def minimum_coprime_number(
     """Smallest bound in [n, k_max] admitting a coprime labeling, with witness.
 
     Bounds are tried in increasing order, each by complete search, so the
-    first hit is the minimum coprime number.  Budgets apply cumulatively
-    across bounds.  Raises NotFoundWithinBoundError when every bound up to
-    ``k_max`` is exhausted without a labeling.
+    first hit is the minimum coprime number.  The bounds share one node count
+    and one deadline, as a single search would: the deadline is checked every
+    1,024 nodes of that count and at each replay.  Raises
+    NotFoundWithinBoundError when every bound up to ``k_max`` is exhausted
+    without a labeling.
     """
     if k_max < g.n:
         raise InvalidParameterError("k_max below vertex count")
     cfg = cfg or SearchConfig()
     started = time.perf_counter()
     requirements = _component_requirements(g)  # the same for every bound
-    nodes_total = 0
+    nodes = 0
     for bound in range(g.n, k_max + 1):
-        remaining = cfg.node_budget - nodes_total
-        time_left = None
-        if cfg.time_budget is not None:
-            time_left = cfg.time_budget - (time.perf_counter() - started)
-        if remaining <= 0 or (time_left is not None and time_left <= 0):
+        outcome = _run(_VertexEngine(g, cfg, bound, requirements, started, nodes))
+        if outcome.status != EXHAUSTED:
+            value = bound if outcome.status == FOUND else None
             return MinimumCoprimeResult(
-                BUDGET_EXCEEDED, None, None, nodes_total, time.perf_counter() - started
+                outcome.status, value, outcome.labeling, outcome.nodes_explored, outcome.elapsed
             )
-        bound_cfg = SearchConfig(remaining, time_left, cfg.symmetry_breaking, cfg.randomize)
-        outcome = _run(
-            _VertexEngine(g, bound_cfg, bound, requirements), time.perf_counter()
-        )
-        nodes_total += outcome.nodes_explored
-        elapsed = time.perf_counter() - started
-        if outcome.status == FOUND:
-            return MinimumCoprimeResult(
-                FOUND, bound, outcome.labeling, nodes_total, elapsed
-            )
-        if outcome.status == BUDGET_EXCEEDED:
-            return MinimumCoprimeResult(
-                BUDGET_EXCEEDED, None, None, nodes_total, elapsed
-            )
+        nodes = outcome.nodes_explored
     raise NotFoundWithinBoundError(
         f"no coprime labeling with max label <= {k_max}"
     )

@@ -219,6 +219,8 @@ class TestMalformedInput:
             (["bounds", "--pi-limit", "-5"], "prime-counting check starts at x = 2"),
             (["search", "--prime", "--family", "cycle", "-n", "4", "--time-budget", "nan"],
              "time budget must be positive"),
+            (["mcn", "--family", "complete", "-n", "6", "--node-budget", "0"],
+             "node budget must be positive"),
         ],
     )
     def test_out_of_range_number_exit_2(self, capsys, argv, message):
@@ -397,6 +399,16 @@ class TestMcnCommand:
     def test_not_found_within_kmax(self, capsys):
         code = run(capsys, "mcn", "--family", "complete", "-n", "4", "--k-max", "4")[0]
         assert code == 1
+
+    def test_budget_spent_at_the_end_of_a_bound(self, capsys):
+        # bounds 6..10 of K6 take 3,249 nodes; bound 11 spends one more
+        code, out = run(
+            capsys, "mcn", "--family", "complete", "-n", "6", "--k-max", "11",
+            "--node-budget", "3249",
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "budget_exceeded" and data["nodes"] == 3250
 
 
 class TestSymmetryBreaking:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -201,8 +202,11 @@ class TestMinimumCoprime:
         g = build_family(FamilySpec("complete", n=6))
         with pytest.raises(NotFoundWithinBoundError):
             minimum_coprime_number(g, 10, SearchConfig(node_budget=3_249))
-        res = minimum_coprime_number(g, 11, SearchConfig(node_budget=3_249))
-        assert res.status == BUDGET_EXCEEDED
+        # bound 11 spends the next node, so each budget is passed by one
+        for budget in (3_248, 3_249, 3_250):
+            res = minimum_coprime_number(g, 11, SearchConfig(node_budget=budget))
+            assert res.status == BUDGET_EXCEEDED
+            assert res.nodes_explored == budget + 1
 
     def test_time_budget_spans_bounds(self, monkeypatch):
         # every clock reading is one second after the last; each bound alone
@@ -305,17 +309,44 @@ def test_nonexistence_census_script(capsys):
     assert out.endswith("prime labeling of C4+C4: True\n")
 
 
+def _config_routes():
+    """Every way of making a config: the constructor, ``_replace`` and
+    ``_make`` from fields, and copy, deepcopy and a pickle round trip of a
+    valid config."""
+    valid = SearchConfig(50, 1.5, True, 3)
+    yield "new", lambda **fields: SearchConfig(**fields)
+    yield "replace", lambda **fields: valid._replace(**fields)
+    yield "make", lambda **fields: SearchConfig._make(
+        (SearchConfig._field_defaults | fields).values()
+    )
+    clones = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda cfg: pickle.loads(pickle.dumps(cfg)),
+    }
+    for name, clone in clones.items():
+        assert clone(valid) == valid and type(clone(valid)) is SearchConfig
+        # the clone is rebuilt through the checks, so a config that skipped
+        # them is refused when copied
+        yield name, lambda clone=clone, **fields: clone(
+            tuple.__new__(SearchConfig, (valid._asdict() | fields).values())
+        )
+
+
 class TestSearchConfig:
     def test_budgets_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            SearchConfig(node_budget=0)
-        with pytest.raises(InvalidParameterError):
-            SearchConfig(time_budget=0.0)
+        for route, make in _config_routes():
+            with pytest.raises(InvalidParameterError, match="node budget must be positive"):
+                make(node_budget=0)
+            with pytest.raises(InvalidParameterError, match="time budget must be positive"):
+                make(time_budget=0.0)
+            assert make(node_budget=7).node_budget == 7, route
 
     def test_nan_time_budget_rejected(self):
         # NaN compares False both ways, so it would set a deadline that never passes
-        with pytest.raises(InvalidParameterError):
-            SearchConfig(time_budget=float("nan"))
+        for _, make in _config_routes():
+            with pytest.raises(InvalidParameterError, match="time budget must be positive"):
+                make(time_budget=float("nan"))
 
     def test_config_is_an_immutable_value(self):
         cfg = SearchConfig(node_budget=50, randomize=3)
