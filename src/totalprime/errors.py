@@ -21,10 +21,6 @@ class NoPrimeError(TotalPrimeError, ValueError):
     """No prime exists at or below the requested bound."""
 
 
-class SieveLimitError(TotalPrimeError, RuntimeError):
-    """The prime table would have to grow past its configured cap."""
-
-
 class SizeMismatchError(TotalPrimeError, ValueError):
     """Labeling shape does not match the graph it is checked against."""
 

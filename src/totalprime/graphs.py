@@ -50,7 +50,7 @@ class Graph:
         init = object.__setattr__
         init(self, "n", n)
         init(self, "edges", edges)
-        init(self, "roles", {} if roles is None else roles)
+        init(self, "roles", _copy_roles(roles or {}))
         init(self, "adjacency", adjacency)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -107,7 +107,7 @@ class Graph:
         return {
             "n": self.n,
             "edges": [list(e) for e in self.edges],
-            "roles": {k: v for k, v in self.roles.items()},
+            "roles": _copy_roles(self.roles),
         }
 
     @classmethod
@@ -123,7 +123,13 @@ class Graph:
             raise InvalidParameterError(f"graph field 'edges' is not a list: {edges!r}")
         if not isinstance(roles, dict):
             raise InvalidParameterError(f"graph field 'roles' is not an object: {roles!r}")
-        return cls(n, edges, dict(roles))
+        return cls(n, edges, roles)
+
+
+def _copy_roles(roles: RoleMap) -> RoleMap:
+    """A copy that shares no list with ``roles``, so that a graph owns its
+    roles and its JSON document does not alias them."""
+    return {k: list(v) if isinstance(v, list) else v for k, v in roles.items()}
 
 
 def _index_edges(
@@ -165,7 +171,7 @@ def _index_edges(
 
 def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None) -> Graph:
     """Normalize an edge list (u < v, sorted) and build a Graph."""
-    return Graph(n, edges, dict(roles or {}))
+    return Graph(n, edges, roles)
 
 
 class FamilySpec(NamedTuple):
@@ -217,9 +223,7 @@ def _build_star(spec: FamilySpec) -> Graph:
 
 def _build_wheel(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 3)
-    edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i + 1) for i in range(1, n)]
-    edges.append((1, n))
+    edges = [(0, i) for i in range(1, n + 1)] + _cycle_edges(1, n)
     roles = {"center": 0, "cycle": list(range(1, n + 1))}
     return make_graph(n + 1, edges, roles)
 
@@ -227,7 +231,7 @@ def _build_wheel(spec: FamilySpec) -> Graph:
 def _build_helm(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 3)
     edges = [(0, i) for i in range(1, n + 1)]              # spokes
-    edges += [(i, i + 1) for i in range(1, n)] + [(1, n)]  # rim
+    edges += _cycle_edges(1, n)                            # rim
     edges += [(i, n + i) for i in range(1, n + 1)]         # pendants
     roles = {
         "center": 0,
@@ -449,7 +453,7 @@ def graph_power(g: Graph, k: int) -> Graph:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         edges += [(src, other) for other in dist if other > src]
-    return make_graph(g.n, edges, dict(g.roles))
+    return make_graph(g.n, edges, g.roles)
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:

@@ -1,22 +1,21 @@
 """Prime sieve and label-capacity checks.
 
-Every construction in this package draws its primes from a shared extendable
-sieve.  Nothing needs primes beyond a small multiple of the largest label in
-play, so a bytearray Eratosthenes sieve with doubling growth is plenty; no
-sublinear prime-counting machinery is warranted.
+The labelings of complete graphs, windmills and books draw their primes
+from a shared extendable sieve, and ``tpl bounds`` sweeps it; the search
+engines sieve their own conflict masks and do not use it.  Nothing needs
+primes beyond a small multiple of the largest label in play, so a bytearray
+Eratosthenes sieve grown on demand is plenty; no sublinear prime-counting
+machinery is warranted.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from itertools import chain, compress, islice
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParameterError, NoPrimeError, SieveLimitError
-
-SIEVE_LIMIT_ENV = "TPL_SIEVE_LIMIT"
+from .errors import InvalidParameterError, NoPrimeError
 
 
 class PrimeTable:
@@ -27,15 +26,7 @@ class PrimeTable:
     never mutate unless the query outgrows the current limit.
     """
 
-    def __init__(self, limit: int = 1 << 12, max_limit: Optional[int] = None):
-        if max_limit is not None and max_limit < 4:
-            raise InvalidParameterError("sieve cap must be at least 4")
-        self.max_limit = max_limit
-        self.limit = 0
-        self.flags = bytearray()
-        self.primes: list[int] = []
-        if max_limit is not None:
-            limit = min(limit, max_limit)
+    def __init__(self, limit: int = 1 << 12):
         self._grow(max(4, limit))
 
     def _grow(self, new_limit: int) -> None:
@@ -49,17 +40,8 @@ class PrimeTable:
         self.primes = list(compress(range(new_limit + 1), flags))
 
     def ensure_limit(self, x: int) -> None:
-        if x <= self.limit:
-            return
-        if self.max_limit is not None and x > self.max_limit:
-            raise SieveLimitError(
-                f"query up to {x} exceeds the sieve cap {self.max_limit} "
-                f"({SIEVE_LIMIT_ENV})"
-            )
-        target = max(x, 2 * self.limit)
-        if self.max_limit is not None:
-            target = min(target, self.max_limit)
-        self._grow(target)
+        if x > self.limit:
+            self._grow(max(x, 2 * self.limit))
 
     def ensure_count(self, count: int) -> None:
         """Grow until at least ``count`` primes are available."""
@@ -95,16 +77,15 @@ _shared: Optional[PrimeTable] = None
 
 
 def shared_table() -> PrimeTable:
-    """Process-wide prime table, capped by ``TPL_SIEVE_LIMIT`` if set."""
+    """Process-wide prime table, built on first use."""
     global _shared
     if _shared is None:
-        cap = os.environ.get(SIEVE_LIMIT_ENV)
-        _shared = PrimeTable(max_limit=int(cap) if cap else None)
+        _shared = PrimeTable()
     return _shared
 
 
 def reset_shared_table() -> None:
-    """Drop the shared table so the next use re-reads the environment cap."""
+    """Drop the shared table so the next use sieves afresh."""
     global _shared
     _shared = None
 
@@ -150,10 +131,11 @@ def check_label_capacity_bounds(n_max: int) -> CapacityReport:
         raise InvalidParameterError("capacity check starts at order 4")
     table = shared_table()
     table.ensure_count(2 * n_max - 3)
+    primes = table.primes  # p_i is primes[i - 1]
     for n in range(4, n_max + 1):
-        if table.nth(n - 1) > (n * n - n - 2) // 2:
+        if primes[n - 2] > (n * n - n - 2) // 2:
             return CapacityReport(False, n_max, (n, "p[n-1] <= (n^2-n-2)/2"))
-        if table.nth(2 * n - 3) >= n * n - n:
+        if primes[2 * n - 4] >= n * n - n:
             return CapacityReport(False, n_max, (n, "p[2n-3] < n^2-n"))
     return CapacityReport(True, n_max)
 

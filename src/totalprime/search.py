@@ -576,9 +576,9 @@ class _VertexEngine:
         free, blocked, vlab = self.free, self.blocked, self.vlab
         if self.cfg.symmetry_breaking:  # vertex 0 takes the smallest label
             if v == 0:
-                others = [lab for lab in vlab if lab]
-                if others:
-                    allowed &= (2 << min(others)) - 1
+                used = ((2 << self.limit) - 2) & ~free  # the labels placed so far
+                if used:
+                    allowed &= ((used & -used) << 1) - 1
             elif vlab[0]:
                 allowed &= -(1 << vlab[0])
         start = self.nodes

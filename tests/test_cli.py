@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import totalprime
+from totalprime import numtheory
 from totalprime.cli import main
 from totalprime.constructors import construct
 from totalprime.graphs import FamilySpec
@@ -461,6 +462,19 @@ class TestBoundsCommand:
         assert code == 0
         data = json.loads(out)
         assert data["capacity_ok"] and data["prime_count_exceeds_x_over_ln_x"]
+
+    @pytest.mark.parametrize("value", ["abc", "100"])
+    def test_sieve_ignores_the_environment(self, capsys, monkeypatch, value):
+        # the prime table is sized by its callers; TPL_SIEVE_LIMIT is not read
+        monkeypatch.setenv("TPL_SIEVE_LIMIT", value)
+        numtheory.reset_shared_table()
+        try:
+            code, out = run(capsys, "bounds", "--n-max", "10", "--pi-limit", "100")
+            assert code == 0 and json.loads(out)["capacity_ok"]
+            code, out = run(capsys, "label", "--family", "complete", "-n", "40")
+            assert code == 0 and json.loads(out)["graph"]["n"] == 40
+        finally:
+            numtheory.reset_shared_table()
 
 
 class TestUsage:

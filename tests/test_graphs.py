@@ -83,6 +83,22 @@ class TestGraphBasics:
         for again in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
             assert again == g and again.adjacency == g.adjacency
 
+    def test_graph_owns_its_roles(self):
+        roles = {"hub": 0, "path": [1, 2]}
+        g = Graph(3, [(0, 1)], roles)
+        roles["hub"] = 2
+        roles["path"].append(0)
+        assert g.roles == {"hub": 0, "path": [1, 2]}
+        data = {"n": 3, "edges": [[0, 1]], "roles": {"path": [1, 2]}}
+        h = Graph.from_json_dict(data)
+        data["roles"]["path"].append(0)
+        assert h.roles == {"path": [1, 2]}
+        other = copy.copy(h)
+        other.roles["path"].append(0)
+        assert h.roles == {"path": [1, 2]}
+        h.to_json_dict()["roles"]["path"].append(0)
+        assert h.roles == {"path": [1, 2]}
+
     def test_components(self):
         g = build_family(
             spec("union", members=(spec("cycle", n=3), spec("path", n=2)))

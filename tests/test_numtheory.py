@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from totalprime import numtheory
-from totalprime.errors import (
-    InvalidParameterError,
-    NoPrimeError,
-    SieveLimitError,
-)
+from totalprime.errors import InvalidParameterError, NoPrimeError
 from totalprime.numtheory import (
     PrimeTable,
     check_label_capacity_bounds,
@@ -67,22 +63,6 @@ class TestPrimeTable:
         head = list(table.primes)
         table.ensure_limit(10_000)
         assert table.primes[: len(head)] == head
-
-    def test_cap_enforced(self):
-        table = PrimeTable(limit=64, max_limit=128)
-        table.ensure_limit(100)
-        with pytest.raises(SieveLimitError):
-            table.ensure_limit(1000)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv(numtheory.SIEVE_LIMIT_ENV, "2048")
-        numtheory.reset_shared_table()
-        try:
-            with pytest.raises(SieveLimitError):
-                numtheory.largest_prime_leq(1_000_000)
-        finally:
-            monkeypatch.delenv(numtheory.SIEVE_LIMIT_ENV)
-            numtheory.reset_shared_table()
 
 
 class TestCapacityBounds:
