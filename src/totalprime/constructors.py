@@ -390,16 +390,17 @@ def _tree_chains(tree: Graph) -> list[list[int]]:
     parent is followed directly by the edge to its first child, so the chains
     run down first-child links and partition the edge set.
     """
-    root = next(v for v in range(tree.n) if tree.degree(v) < 2)
+    adjacency = tree.adjacency
+    root = next(v for v in range(tree.n) if len(adjacency[v]) < 2)
     chains: list[list[int]] = []
-    stack = [(root, u) for u in reversed(tree.adjacency[root])]
+    stack = [(root, u) for u in reversed(adjacency[root])]
     while stack:
         parent, v = stack.pop()
         if chains and chains[-1][-1] == parent:
             chains[-1].append(v)
         else:
             chains.append([parent, v])
-        stack += [(v, u) for u in reversed(tree.adjacency[v]) if u != parent]
+        stack += [(v, u) for u in reversed(adjacency[v]) if u != parent]
     return chains
 
 

@@ -4,13 +4,16 @@ Conventions used throughout: hub/centre vertices come first, then cycle or
 path vertices in traversal order, then pendants.  Edges are stored as
 ``(u, v)`` pairs with ``u < v``, sorted lexicographically, so "canonical edge
 order" always means the order of ``Graph.edges``.  Graphs are frozen: every
-builder passes its roles in at construction.
+builder passes its roles in at construction.  A graph's neighbour lists are
+built on the first read of ``Graph.adjacency`` and kept, so a graph that is
+only labeled and verified never builds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -33,25 +36,42 @@ class Graph:
     Edges may be given in any orientation and order; construction stores
     them canonically (``u < v``, sorted) and rejects self-loops, duplicates
     and out-of-range endpoints.  Graphs are immutable; equality compares
-    ``n``, ``edges`` and ``roles`` (``adjacency`` is derived from the edges).
+    ``n``, ``edges`` and ``roles``.  ``adjacency``, the sorted neighbour
+    lists, is derived from the edges on its first read and kept; a reader
+    that loops over vertices binds it once.
     """
 
-    __slots__ = ("n", "edges", "roles", "adjacency")
+    __slots__ = ("n", "edges", "roles", "_adjacency")
 
     n: int
     edges: tuple[Edge, ...]
     roles: RoleMap
-    adjacency: tuple[tuple[int, ...], ...]
 
     def __init__(
         self, n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None
     ) -> None:
-        edges, adjacency = _index_edges(n, edges)
         init = object.__setattr__
         init(self, "n", n)
-        init(self, "edges", edges)
+        init(self, "edges", _index_edges(n, edges))
         init(self, "roles", _copy_roles(roles or {}))
-        init(self, "adjacency", adjacency)
+        init(self, "_adjacency", None)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending; built on the first read.
+
+        The lists come out sorted because the edges are walked in sorted
+        order: every ``(w, x)`` with ``w < x`` precedes every ``(x, y)``.
+        """
+        adjacency = self._adjacency
+        if adjacency is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            adjacency = tuple(map(tuple, nbrs))
+            object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Graph")
@@ -82,6 +102,7 @@ class Graph:
         return 0 <= u < self.n and v in self.adjacency[u]
 
     def components(self) -> list[list[int]]:
+        adjacency = self.adjacency
         seen = [False] * self.n
         comps = []
         for start in range(self.n):
@@ -92,7 +113,7 @@ class Graph:
             queue = deque([start])
             while queue:
                 x = queue.popleft()
-                for y in self.adjacency[x]:
+                for y in adjacency[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -132,14 +153,13 @@ def _copy_roles(roles: RoleMap) -> RoleMap:
     return {k: list(v) if isinstance(v, list) else v for k, v in roles.items()}
 
 
-def _index_edges(
-    n: int, edges: Iterable[Iterable[int]]
-) -> tuple[tuple[Edge, ...], tuple[tuple[int, ...], ...]]:
-    """Canonical edge tuple and sorted neighbour lists of a raw edge list.
+def _index_edges(n: int, edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
+    """The canonical edge tuple of a raw edge list; the one place an edge
+    list is checked.
 
-    This is the one place an edge list is checked.  Neighbour lists come out
-    sorted because the edges are walked in sorted order: every ``(w, x)``
-    with ``w < x`` precedes every ``(x, y)``.
+    Each edge is checked for shape and self-loops as it is read.  Ranges and
+    duplicates are checked on the sorted list in bulk, and only a list that
+    fails is walked again, to name its first bad edge in sorted order.
     """
     norm = []
     for e in edges:
@@ -149,24 +169,27 @@ def _index_edges(
             u = v = None
         if type(u) is not int or type(v) is not int:
             raise InvalidParameterError(f"edge {e!r} is not a pair of vertex indices")
-        if u == v:
+        if u < v:
+            norm.append(e if type(e) is tuple else (u, v))  # a canonical pair is kept
+        elif u > v:
+            norm.append((v, u))
+        else:
             raise InvalidParameterError(f"self-loop at vertex {u}")
-        norm.append((u, v) if u < v else (v, u))
     norm.sort()
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    prev = None
-    for e in norm:
-        u, v = e
-        if u < 0 or v >= n:
-            raise InvalidParameterError(
-                f"edge ({u}, {v}) invalid for a graph of order {n}"
-            )
-        if e == prev:
-            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
-        prev = e
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return tuple(norm), tuple(map(tuple, nbrs))
+    if norm and (
+        norm[0][0] < 0 or max(map(itemgetter(1), norm)) >= n or len(set(norm)) < len(norm)
+    ):
+        prev = None
+        for e in norm:
+            u, v = e
+            if u < 0 or v >= n:
+                raise InvalidParameterError(
+                    f"edge ({u}, {v}) invalid for a graph of order {n}"
+                )
+            if e == prev:
+                raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+            prev = e
+    return tuple(norm)
 
 
 def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None) -> Graph:
@@ -201,7 +224,7 @@ def _need(spec: FamilySpec, attr: str, minimum: int) -> int:
 
 
 def _cycle_edges(offset: int, n: int) -> list[Edge]:
-    out = [(offset + i, offset + i + 1) for i in range(n - 1)]
+    out = list(zip(range(offset, offset + n - 1), range(offset + 1, offset + n)))
     out.append((offset, offset + n - 1))
     return out
 
@@ -439,6 +462,7 @@ def graph_power(g: Graph, k: int) -> Graph:
     """Edges between all vertex pairs at distance at most ``k`` in ``g``."""
     if k < 1:
         raise InvalidParameterError("power must be at least 1")
+    adjacency = g.adjacency
     edges = []
     for src in range(g.n):
         # BFS truncated at depth k
@@ -448,7 +472,7 @@ def graph_power(g: Graph, k: int) -> Graph:
             x = queue.popleft()
             if dist[x] == k:
                 continue
-            for y in g.adjacency[x]:
+            for y in adjacency[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -485,8 +509,9 @@ def validate_hamiltonian(g: Graph, ham: HamiltonianData) -> None:
     cyc = tuple(ham.cycle)
     if g.n < 3 or sorted(cyc) != list(range(g.n)):
         raise InvalidHamiltonianDataError("cycle is not a permutation of the vertices")
+    adjacency = g.adjacency
     for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-        if not g.has_edge(a, b):
+        if b not in adjacency[a]:
             raise InvalidHamiltonianDataError(f"cycle step ({a}, {b}) is not an edge")
     u, v = ham.chord
     if not g.has_edge(u, v):

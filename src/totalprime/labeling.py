@@ -9,7 +9,9 @@ the range to an injection into ``1..k`` for some ``k >= n``.
 
 Verifiers report every violation, not just the first, which keeps
 construction bugs debuggable.  Vertices of degree 0 or 1 carry no incident
-edge condition.
+edge condition.  ``verify_total_prime`` reads each edge label with one
+lookup, accepts a bijection with one sort of the labels and lists the range
+and duplicate violations only when that check fails.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Labeling(NamedTuple):
                 (u, v), lab = entry
             except (TypeError, ValueError):
                 u = v = lab = None
-            if not all(type(x) is int for x in (u, v, lab)):
+            if type(u) is not int or type(v) is not int or type(lab) is not int:
                 raise InvalidParameterError(
                     f"labeling field 'edge_labels[{i}]' is not [[u, v], label]: {entry!r}"
                 )
@@ -120,16 +122,25 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _check_shape(g: Graph, labeling: Labeling, with_edges: bool) -> None:
+def _check_shape(g: Graph, labeling: Labeling, with_edges: bool) -> list:
+    """Raise SizeMismatchError unless ``labeling`` labels the vertices of
+    ``g`` and, ``with_edges``, exactly its edges (as many keys as edges, every
+    edge among them); return the edge labels in canonical edge order, read
+    with one lookup per edge."""
     if len(labeling.vertex_labels) != g.n:
         raise SizeMismatchError(
             f"{len(labeling.vertex_labels)} vertex labels for order {g.n}"
         )
-    if with_edges:
-        if set(labeling.edge_labels) != set(g.edges):
-            raise SizeMismatchError("edge label keys do not match the edge set")
-    elif labeling.edge_labels:
-        raise SizeMismatchError("vertex-only check, but edge labels present")
+    el = labeling.edge_labels
+    if not with_edges:
+        if el:
+            raise SizeMismatchError("vertex-only check, but edge labels present")
+        return []
+    missing = object()
+    labels = [el.get(e, missing) for e in g.edges] if len(el) == len(g.edges) else [missing]
+    if missing in labels:
+        raise SizeMismatchError("edge label keys do not match the edge set")
+    return labels
 
 
 def _range_violations(labels, subjects, limit: int, exact: bool) -> list[Violation]:
@@ -169,25 +180,24 @@ def _coprime_violations(g: Graph, labeling: Labeling) -> list[Violation]:
 
 def verify_total_prime(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check bijectivity onto 1..n+m, edge coprimality, and incident gcds."""
-    _check_shape(g, labeling, with_edges=True)
-    el = labeling.edge_labels
-    edge_labels = []
-    incident = [0] * g.n  # gcd of the edge labels at each vertex
-    for e in g.edges:
-        lab = el[e]
-        edge_labels.append(lab)
-        u, v = e
+    edge_labels = _check_shape(g, labeling, with_edges=True)
+    n, total = g.n, g.n + g.m
+    labels = [*labeling.vertex_labels, *edge_labels]
+    violations = []
+    if sorted(labels) != list(range(1, total + 1)):
+        violations = _range_violations(labels, [*range(n), *g.edges], total, exact=True)
+    violations += _coprime_violations(g, labeling)
+    incident = [0] * n  # gcd of the edge labels at each vertex
+    for (u, v), lab in zip(g.edges, edge_labels):
         incident[u] = gcd(incident[u], lab)
         incident[v] = gcd(incident[v], lab)
-    violations = _range_violations(
-        [*labeling.vertex_labels, *edge_labels], [*range(g.n), *g.edges], g.n + g.m, exact=True
-    )
-    violations += _coprime_violations(g, labeling)
-    violations += [
-        Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
-        for v, d in enumerate(incident)
-        if d != 1 and g.degree(v) >= 2
-    ]
+    if incident.count(1) < n:
+        adjacency = g.adjacency
+        violations += [
+            Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
+            for v, d in enumerate(incident)
+            if d != 1 and len(adjacency[v]) >= 2
+        ]
     return VerificationReport.from_violations(violations)
 
 

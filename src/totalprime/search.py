@@ -209,7 +209,8 @@ class _OutOfBudget(Exception):
 
 def _independence_number(g: Graph, comp: list[int]) -> int:
     """Exact maximum independent set size of a component, by branching."""
-    adj = {v: set(g.adjacency[v]) & set(comp) for v in comp}
+    adjacency = g.adjacency
+    adj = {v: set(adjacency[v]) & set(comp) for v in comp}
 
     def rec(active: frozenset) -> int:
         if not active:
@@ -279,7 +280,7 @@ def _component_requirements(g: Graph):
     for cid, comp in enumerate(comps):
         if len(comp) > 30:
             alpha = len(comp)  # give up on the bound; stays sound
-        elif sum(map(g.degree, comp)) == 2 * len(comp) - 2:
+        elif sum(len(adjacency[v]) for v in comp) == 2 * len(comp) - 2:
             alpha = tree_alpha[cid]
         else:
             alpha = _independence_number(g, comp)
@@ -330,7 +331,8 @@ def _vertex_order(g: Graph) -> list[int]:
     adjacent-coprimality conflicts surface immediately instead of after deep
     unconstrained assignments.
     """
-    degrees = list(map(len, g.adjacency))
+    adjacency = g.adjacency
+    degrees = list(map(len, adjacency))
     placed = [False] * g.n
     seen_nbrs = [0] * g.n
     # the smallest entry is the vertex to place next; a vertex's newest entry
@@ -344,7 +346,7 @@ def _vertex_order(g: Graph) -> list[int]:
             continue
         ordered.append(best)
         placed[best] = True
-        for u in g.adjacency[best]:
+        for u in adjacency[best]:
             if not placed[u]:
                 seen_nbrs[u] += 1
                 heappush(heap, (-seen_nbrs[u], -degrees[u], u))
@@ -365,6 +367,11 @@ class _VertexEngine:
     A search call's engines share its budgets: one starts from the ``nodes``
     its call has spent before it, with the deadline ``time_budget`` after
     ``started``, the call's start (now, by default).
+
+    CPython 3.11 keeps at most 29 attributes of an instance inline; a 30th
+    moves them all into a dict, which makes every attribute read slower and
+    the engine's set-up twice as slow, so this engine stays within 29 (the
+    total engine's edge phase takes it past them).
     """
 
     def __init__(
@@ -373,6 +380,7 @@ class _VertexEngine:
     ):
         self.started = time.perf_counter() if started is None else started
         self.g = g
+        self.adjacency = g.adjacency  # read at every node
         self.cfg = cfg
         self.node_budget = cfg.node_budget  # an attribute reads faster per node
         self.limit = limit
@@ -388,9 +396,7 @@ class _VertexEngine:
         self.vlab = [0] * g.n
         self.nodes = nodes
         self.deadline = self.started + cfg.time_budget if cfg.time_budget else None
-        reqs, comp_of, self.bottom_up, self.parent = (
-            requirements or _component_requirements(g)
-        )
+        reqs, comp_of, bottom_up, parent = requirements or _component_requirements(g)
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
@@ -398,7 +404,8 @@ class _VertexEngine:
         # the odd labels: bits 1, 3, 5, ... up to limit, twice 1 + 4 + 16 + ...
         self.odd_labels = (4 ** ((limit + 1) // 2) - 1) // 3 * 2
         self.need = 0
-        self.is_forest = g.m == g.n - len(reqs)
+        # the spanning forest the forest rule reads, kept on forests only
+        self.forest = (bottom_up, parent) if g.m == g.n - len(reqs) else None
         # state key -> nodes spent by a subtree searched to exhaustion from
         # it, in two generations: new entries go to ``exhausted``, and a full
         # ``exhausted`` becomes ``older``, dropping the previous ``older``
@@ -449,7 +456,7 @@ class _VertexEngine:
         blocked = self.blocked
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
-        for u in self.g.adjacency[v]:
+        for u in self.adjacency[v]:
             if not vlab[u]:
                 trail.append(blocked[u])
                 blocked[u] |= conflict
@@ -470,7 +477,7 @@ class _VertexEngine:
         labeled_nbrs = self.labeled_nbrs
         trail = self.trail
         vlab = self.vlab
-        for u in reversed(self.g.adjacency[v]):
+        for u in reversed(self.adjacency[v]):
             if not vlab[u]:
                 blocked[u] = trail.pop()
                 labeled_nbrs[u] -= 1
@@ -482,7 +489,7 @@ class _VertexEngine:
         independent set of unassigned vertices with no even neighbor."""
         evens_needed = unassigned - self.odds_left()
         return evens_needed <= 0 or len(
-            _forest_independent_set(self.bottom_up, self.parent, self.vlab, self.blocked)
+            _forest_independent_set(*self.forest, self.vlab, self.blocked)
         ) >= evens_needed
 
     def _state_key(self) -> bytes:
@@ -586,7 +593,7 @@ class _VertexEngine:
         # a value that empties the domain of an unlabeled neighbor leaves that
         # neighbor nothing to take, so it is refused here before place_vertex
         # rewrites the neighbors' masks
-        domains = [free & ~blocked[u] for u in self.g.adjacency[v] if not vlab[u]]
+        domains = [free & ~blocked[u] for u in self.adjacency[v] if not vlab[u]]
         conflict = self.conflict
         seeded = None if self.order is None else self.seeded(allowed)
         while allowed:
@@ -600,7 +607,7 @@ class _VertexEngine:
                 continue
             self.place_vertex(v, val)
             if (
-                not self.is_forest or self._even_placement_ok(self.g.n - count - 1)
+                self.forest is None or self._even_placement_ok(self.g.n - count - 1)
             ) and (yield self._assign(count + 1)):
                 return True
             self.unplace_vertex(v, val)
@@ -691,7 +698,8 @@ class _TotalEngine(_VertexEngine):
         self.elab = [0] * g.m
         # the gcd of the labels on each vertex's labeled edges (0 while none)
         self.egcd = [0] * g.n
-        internal = [g.degree(v) >= 2 for v in range(g.n)]
+        degrees = list(map(len, self.adjacency))
+        internal = [d >= 2 for d in degrees]
         # bit v of open_masks[j] is set when v has degree >= 2 and an edge in
         # eorder[j:]: the vertices whose incident gcd the edge phase reads
         # from edge j on; open_masks[m] is 0
@@ -705,7 +713,7 @@ class _TotalEngine(_VertexEngine):
         # the degree-exactly-2 pool pairs only along degree2-degree2 edges,
         # which is sometimes the sharper bound; the need is the max of both
         # (one pool when the two vertex sets coincide)
-        d2 = [g.degree(v) == 2 for v in range(g.n)]
+        d2 = [d == 2 for d in degrees]
         self.pools = [_CoverPool(g, internal, self.elab, self.egcd)]
         if d2 != internal:
             self.pools.append(_CoverPool(g, d2, self.elab, self.egcd))

@@ -1,8 +1,9 @@
 import copy
 import pickle
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from totalprime.errors import (
     InvalidHamiltonianDataError,
@@ -10,6 +11,7 @@ from totalprime.errors import (
     MalformedTreeError,
     NoCanonicalCycleError,
 )
+from totalprime.constructors import cycle_with_chord
 from totalprime.graphs import (
     FamilySpec,
     Graph,
@@ -23,6 +25,7 @@ from totalprime.graphs import (
     to_dot,
     validate_hamiltonian,
 )
+from totalprime.labeling import verify_total_prime
 
 
 def spec(family, **kw):
@@ -104,6 +107,112 @@ class TestGraphBasics:
             spec("union", members=(spec("cycle", n=3), spec("path", n=2)))
         )
         assert g.components() == [[0, 1, 2], [3, 4]]
+
+    def test_neighbour_lists_are_built_on_first_read_and_kept(self):
+        result = cycle_with_chord(12, 5)
+        assert verify_total_prime(result.graph, result.labeling).valid
+        # constructing and verifying a cycle with a chord reads no neighbour list
+        assert result.graph._adjacency is None
+        first = result.graph.adjacency
+        assert first is result.graph.adjacency
+        assert first[0] == (1, 4, 11) and first[6] == (5, 7)
+        assert result.graph.degree(0) == 3 and result.graph.has_edge(4, 0)
+        fresh = build_family(spec("cycle_chord", n=12, k=5))
+        assert fresh == result.graph and pickle.loads(pickle.dumps(result.graph)) == fresh
+
+
+def _reference_index_edges(n, edges):
+    """The edge check as it was before the neighbour lists were made lazy:
+    one walk of the sorted edges, checking each and building the lists."""
+    norm = []
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int:
+            raise InvalidParameterError(f"edge {e!r} is not a pair of vertex indices")
+        if u == v:
+            raise InvalidParameterError(f"self-loop at vertex {u}")
+        norm.append((u, v) if u < v else (v, u))
+    norm.sort()
+    nbrs = [[] for _ in range(n)]
+    prev = None
+    for e in norm:
+        u, v = e
+        if u < 0 or v >= n:
+            raise InvalidParameterError(
+                f"edge ({u}, {v}) invalid for a graph of order {n}"
+            )
+        if e == prev:
+            raise InvalidParameterError(f"duplicate edge ({u}, {v})")
+        prev = e
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(norm), tuple(map(tuple, nbrs))
+
+
+_ENDPOINTS = st.one_of(
+    st.integers(-2, 9), st.booleans(), st.sampled_from([0.0, 1.0, 2.5, -1.0]), st.none()
+)
+
+
+class _OneShot(list):
+    """Endpoints to be handed over as a one-shot generator."""
+
+
+# an edge is a tuple or list of endpoints, mostly pairs, or something else
+# altogether
+_EDGES = st.one_of(
+    st.tuples(_ENDPOINTS, _ENDPOINTS),
+    st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.lists(st.integers(0, 9), max_size=3).map(_OneShot),
+    st.sampled_from([None, 3, "ab", (1, 2, 3)]),
+)
+
+
+def _edge_list(edges, as_generator):
+    """A fresh copy of the edge list, its one-shot parts made anew."""
+    fresh = [iter(e) if isinstance(e, _OneShot) else e for e in edges]
+    return (e for e in fresh) if as_generator else fresh
+
+
+def _outcome(make, n, edges):
+    """What ``make`` returns for the edge list, or its error message with
+    object addresses blanked (a generator's repr holds one)."""
+    try:
+        return make(n, edges)
+    except InvalidParameterError as exc:
+        return re.sub(r"0x[0-9a-f]+", "0x", str(exc))
+
+
+@given(
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=14),
+    st.lists(_EDGES, max_size=6),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(4, [(0, 1), (5, 1), (1, 0)], [], False, None)  # range error after a duplicate
+@example(4, [(1, 0), (0, 1), (2, 7)], [], True, None)  # duplicate before a range error
+@example(3, [(-1, 2), (0, 1), (1, 0)], [], False, None)
+@example(3, [(0, 1), (2, 2), (4, 1)], [], False, None)
+@example(3, [(True, 2)], [], False, None)
+@example(3, [(0, 1)], [(1.0, 2)], False, None)
+def test_edge_checks_match_the_reference(n, pairs, odd, as_generator, rnd):
+    # a list of int pairs (self-loops, duplicates, negative and too-large
+    # endpoints among them) with odd edges mixed in at random places
+    edges = list(pairs)
+    for e in odd:
+        edges.insert(rnd.randrange(len(edges) + 1) if rnd else len(edges), e)
+
+    def build(n, edges):
+        g = Graph(n, edges)
+        return g.edges, g.adjacency
+
+    new = _outcome(build, n, _edge_list(edges, as_generator))
+    assert new == _outcome(_reference_index_edges, n, _edge_list(edges, as_generator))
 
 
 # (family spec, expected |V|, expected |E|) closed forms

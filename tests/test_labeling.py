@@ -1,6 +1,14 @@
+import random
+import re
+import runpy
+from collections import defaultdict
+from math import gcd
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import totalprime
 from totalprime.errors import BoundTooSmallError, SizeMismatchError
 from totalprime.graphs import FamilySpec, build_family, make_graph
 from totalprime.labeling import (
@@ -8,10 +16,16 @@ from totalprime.labeling import (
     INCIDENT_SHARED_FACTOR,
     NON_BIJECTIVE,
     Labeling,
+    VerificationReport,
+    Violation,
     verify_coprime,
     verify_prime,
     verify_total_prime,
 )
+
+grid_sample = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+)["grid_sample"]
 
 
 def helm3_labeling():
@@ -94,6 +108,14 @@ class TestTotalPrime:
         with pytest.raises(SizeMismatchError):
             verify_total_prime(g, Labeling([1, 2, 3], {(0, 1): 4, (1, 2): 5}))
 
+    def test_edge_keys_are_read_not_written(self):
+        # a defaultdict with a wrong key is a mismatch, and is left as it was
+        g = build_family(FamilySpec("cycle", n=3))
+        el = defaultdict(int, {(0, 1): 4, (1, 2): 5, (0, 3): 6})
+        with pytest.raises(SizeMismatchError):
+            verify_total_prime(g, Labeling([1, 2, 3], el))
+        assert sorted(el) == [(0, 1), (0, 3), (1, 2)]
+
     @given(st.permutations(list(range(6))))
     def test_edge_order_insensitive(self, perm):
         # shuffling the edge input order never changes the verdict
@@ -103,6 +125,99 @@ class TestTotalPrime:
         lab = Labeling([1, 2, 3, 4, 5], {e: i + 6 for i, e in enumerate(sorted(base_edges))})
         ref = verify_total_prime(make_graph(5, base_edges), lab)
         assert verify_total_prime(g, lab).valid == ref.valid
+
+
+def _reference_verify_total_prime(g, labeling):
+    """The total verifier as it was before a bijection was accepted by one
+    sort: two key sets for the shape, every label through the listing loop."""
+    if len(labeling.vertex_labels) != g.n:
+        raise SizeMismatchError(f"{len(labeling.vertex_labels)} vertex labels for order {g.n}")
+    if set(labeling.edge_labels) != set(g.edges):
+        raise SizeMismatchError("edge label keys do not match the edge set")
+    el, vl = labeling.edge_labels, labeling.vertex_labels
+    edge_labels = []
+    incident = [0] * g.n
+    for e in g.edges:
+        lab = el[e]
+        edge_labels.append(lab)
+        u, v = e
+        incident[u] = gcd(incident[u], lab)
+        incident[v] = gcd(incident[v], lab)
+    limit = g.n + g.m
+    violations = []
+    seen = {}
+    for lab, subject in zip([*vl, *edge_labels], [*range(g.n), *g.edges]):
+        if not 1 <= lab <= limit:
+            violations.append(Violation(NON_BIJECTIVE, label=lab, note=f"out of range at {subject}"))
+        elif lab in seen:
+            violations.append(
+                Violation(NON_BIJECTIVE, label=lab, note=f"duplicate at {subject} and {seen[lab]}")
+            )
+        else:
+            seen[lab] = subject
+    if not violations and len(seen) != limit:
+        missing = min(set(range(1, limit + 1)) - set(seen))
+        violations.append(Violation(NON_BIJECTIVE, label=missing, note="label never used"))
+    for u, v in g.edges:
+        d = gcd(vl[u], vl[v])
+        if d != 1:
+            violations.append(Violation(ADJACENT_NOT_COPRIME, (u, v), gcd=d))
+    violations += [
+        Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
+        for v, d in enumerate(incident)
+        if d != 1 and g.degree(v) >= 2
+    ]
+    return VerificationReport.from_violations(violations)
+
+
+def _corruptions(labeling, rnd):
+    """Four broken copies of a valid labeling: two labels swapped, one label
+    duplicated, one out of range (0, negative or past n + m), and one edge
+    key missing."""
+    vl, el = list(labeling.vertex_labels), dict(labeling.edge_labels)
+    slots = [("v", i) for i in range(len(vl))] + [("e", e) for e in el]
+    total = len(slots)
+
+    def read(slot):
+        return vl[slot[1]] if slot[0] == "v" else el[slot[1]]
+
+    def copy_with(changes):
+        v2, e2 = list(vl), dict(el)
+        for (kind, key), lab in changes:
+            (v2 if kind == "v" else e2)[key] = lab
+        return Labeling(v2, e2)
+
+    a, b = rnd.sample(slots, 2)
+    yield copy_with([(a, read(b)), (b, read(a))])
+    yield copy_with([(a, read(b))])
+    yield copy_with([(a, rnd.choice([0, -read(a), total + 1 + rnd.randrange(3)]))])
+    short = dict(el)
+    del short[rnd.choice(list(short))]
+    yield Labeling(vl, short)
+
+
+def test_total_verifier_matches_the_reference_on_the_grid():
+    # every labeling of the benchmark's seed-1 grid draw, and broken copies
+    # of each: the same report, violations in the same order, or the same error
+    rnd = random.Random(1)
+    kinds = set()
+    for item in grid_sample(1, 4000):
+        result = getattr(totalprime, item.ctor)(*item.args, **dict(item.kwargs))
+        g = result.graph
+        assert verify_total_prime(g, result.labeling) == _reference_verify_total_prime(
+            g, result.labeling
+        ), item
+        for bad in _corruptions(result.labeling, rnd):
+            try:
+                expected = _reference_verify_total_prime(g, bad)
+            except SizeMismatchError as exc:
+                with pytest.raises(SizeMismatchError, match=re.escape(str(exc))):
+                    verify_total_prime(g, bad)
+                kinds.add("size")
+                continue
+            assert verify_total_prime(g, bad) == expected, item
+            kinds.update(v.kind for v in expected.violations)
+    assert kinds == {"size", NON_BIJECTIVE, ADJACENT_NOT_COPRIME, INCIDENT_SHARED_FACTOR}
 
 
 class TestPrime:

@@ -511,12 +511,14 @@ def test_deep_prime_search_stays_small():
 def test_search_keeps_no_table_after_it_returns():
     # each engine builds its own conflict masks, so nothing of a search
     # outlives it but its outcome; a fresh interpreter, since an earlier test
-    # would have grown any table kept between calls
+    # would have grown any table kept between calls.  The path's neighbour
+    # lists belong to the graph, so they are built before tracing starts.
     code = """
 import tracemalloc
 from totalprime.graphs import FamilySpec, build_family
 from totalprime.search import FOUND, find_prime
 path = build_family(FamilySpec("path", n=1_500))
+path.adjacency
 tracemalloc.start()
 out = find_prime(path)
 assert out.status == FOUND, out.status
@@ -531,6 +533,14 @@ print(tracemalloc.get_traced_memory()[0])
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 128 << 10
+
+
+def test_vertex_engine_keeps_its_attributes_inline():
+    # CPython 3.11 moves an instance with a 30th attribute into a dict, which
+    # slows every attribute read of the engine (see _VertexEngine)
+    for family in ("path", "cycle"):  # with and without the forest rule
+        g = build_family(FamilySpec(family, n=5))
+        assert len(vars(search._VertexEngine(g, SearchConfig(), 5))) <= 29
 
 
 def test_empty_graph_is_decided_by_the_engines():
