@@ -34,11 +34,11 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     Edges may be given in any orientation and order; construction stores
-    them canonically (``u < v``, sorted) and rejects self-loops, duplicates
-    and out-of-range endpoints.  Graphs are immutable; equality compares
-    ``n``, ``edges`` and ``roles``.  ``adjacency``, the sorted neighbour
-    lists, is derived from the edges on its first read and kept; a reader
-    that loops over vertices binds it once.
+    them canonically (``u < v``, sorted) and rejects self-loops, duplicates,
+    out-of-range endpoints and an ``n`` that is not an int >= 0.  Graphs are
+    immutable; equality compares ``n``, ``edges`` and ``roles``.
+    ``adjacency``, the sorted neighbour lists, is derived from the edges on
+    its first read and kept; a reader that loops over vertices binds it once.
     """
 
     __slots__ = ("n", "edges", "roles", "_adjacency")
@@ -50,6 +50,8 @@ class Graph:
     def __init__(
         self, n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None
     ) -> None:
+        if type(n) is not int or n < 0:
+            raise InvalidParameterError(f"graph field 'n' is not a vertex count: {n!r}")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "edges", _index_edges(n, edges))
@@ -138,8 +140,6 @@ class Graph:
         if not isinstance(data, dict):
             raise InvalidParameterError("graph JSON must be an object")
         n, edges, roles = data.get("n"), data.get("edges"), data.get("roles") or {}
-        if type(n) is not int or n < 0:
-            raise InvalidParameterError(f"graph field 'n' is not a vertex count: {n!r}")
         if not isinstance(edges, list):
             raise InvalidParameterError(f"graph field 'edges' is not a list: {edges!r}")
         if not isinstance(roles, dict):
@@ -192,9 +192,8 @@ def _index_edges(n: int, edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
     return tuple(norm)
 
 
-def make_graph(n: int, edges: Iterable[Iterable[int]], roles: Optional[RoleMap] = None) -> Graph:
-    """Normalize an edge list (u < v, sorted) and build a Graph."""
-    return Graph(n, edges, roles)
+# the older name of the constructor, kept for callers that use it
+make_graph = Graph
 
 
 class FamilySpec(NamedTuple):
@@ -231,24 +230,24 @@ def _cycle_edges(offset: int, n: int) -> list[Edge]:
 
 def _build_path(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 1)
-    return make_graph(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def _build_cycle(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 3)
-    return make_graph(n, _cycle_edges(0, n))
+    return Graph(n, _cycle_edges(0, n))
 
 
 def _build_star(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 1)
-    return make_graph(n + 1, ((0, i) for i in range(1, n + 1)), {"center": 0})
+    return Graph(n + 1, ((0, i) for i in range(1, n + 1)), {"center": 0})
 
 
 def _build_wheel(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 3)
     edges = [(0, i) for i in range(1, n + 1)] + _cycle_edges(1, n)
     roles = {"center": 0, "cycle": list(range(1, n + 1))}
-    return make_graph(n + 1, edges, roles)
+    return Graph(n + 1, edges, roles)
 
 
 def _build_helm(spec: FamilySpec) -> Graph:
@@ -261,7 +260,7 @@ def _build_helm(spec: FamilySpec) -> Graph:
         "cycle": list(range(1, n + 1)),
         "pendants": list(range(n + 1, 2 * n + 1)),
     }
-    return make_graph(2 * n + 1, edges, roles)
+    return Graph(2 * n + 1, edges, roles)
 
 
 def _build_cycle_chord(spec: FamilySpec) -> Graph:
@@ -272,7 +271,7 @@ def _build_cycle_chord(spec: FamilySpec) -> Graph:
             f"chord offset must satisfy 2 < k < n, got k={k} for n={n}"
         )
     edges = _cycle_edges(0, n) + [(0, k - 1)]
-    return make_graph(n, edges, {"cycle": list(range(n)), "chord": [0, k - 1]})
+    return Graph(n, edges, {"cycle": list(range(n)), "chord": [0, k - 1]})
 
 
 def _build_snake(spec: FamilySpec) -> Graph:
@@ -288,7 +287,7 @@ def _build_snake(spec: FamilySpec) -> Graph:
         edges += list(zip(ring, ring[1:]))
         edges.append((v(i), v(i + 1)))
     roles = {"path": [v(i) for i in range(1, n + 2)]}
-    return make_graph(n * (k - 1) + 1, edges, roles)
+    return Graph(n * (k - 1) + 1, edges, roles)
 
 
 def _build_book(spec: FamilySpec) -> Graph:
@@ -302,12 +301,12 @@ def _build_book(spec: FamilySpec) -> Graph:
     for i in range(1, n + 1):
         page = [0] + [x(i, j) for j in range(1, k - 1)] + [1]
         edges += list(zip(page, page[1:]))
-    return make_graph(n * (k - 2) + 2, edges, {"spine": [0, 1]})
+    return Graph(n * (k - 2) + 2, edges, {"spine": [0, 1]})
 
 
 def _build_complete(spec: FamilySpec) -> Graph:
     n = _need(spec, "n", 1)
-    return make_graph(n, combinations(range(n), 2))
+    return Graph(n, combinations(range(n), 2))
 
 
 def _build_windmill(spec: FamilySpec) -> Graph:
@@ -317,7 +316,7 @@ def _build_windmill(spec: FamilySpec) -> Graph:
     for i in range(m):
         clique = [0] + list(range(1 + i * (n - 1), 1 + (i + 1) * (n - 1)))
         edges += list(combinations(clique, 2))
-    return make_graph(m * (n - 1) + 1, edges, {"hub": 0})
+    return Graph(m * (n - 1) + 1, edges, {"hub": 0})
 
 
 def _build_friendship(spec: FamilySpec) -> Graph:
@@ -336,7 +335,7 @@ def _build_bistar(spec: FamilySpec) -> Graph:
         "left_leaves": list(range(2, m + 2)),
         "right_leaves": list(range(m + 2, m + n + 2)),
     }
-    return make_graph(m + n + 2, edges, roles)
+    return Graph(m + n + 2, edges, roles)
 
 
 def _build_prism(spec: FamilySpec) -> Graph:
@@ -345,7 +344,7 @@ def _build_prism(spec: FamilySpec) -> Graph:
         _build_path(FamilySpec("path", n=2)), _build_cycle(FamilySpec("cycle", n=n))
     )
     roles = {"u_cycle": list(range(n)), "v_cycle": list(range(n, 2 * n))}
-    return make_graph(2 * n, edges, roles)
+    return Graph(2 * n, edges, roles)
 
 
 def _build_stacked_prism(spec: FamilySpec) -> Graph:
@@ -387,11 +386,11 @@ def _build_tree(spec: FamilySpec) -> Graph:
         n = spec.n if spec.n is not None else 1
         if n != 1:
             raise MalformedTreeError("a tree without edges must have one vertex")
-        return make_graph(1, ())
+        return Graph(1, ())
     # a tree on m edges has m + 1 vertices; other orders fail the checks below
     n = spec.n if spec.n is not None else len(edges) + 1
     try:
-        g = make_graph(n, edges)
+        g = Graph(n, edges)
     except InvalidParameterError as exc:
         raise MalformedTreeError(str(exc)) from exc
     if g.m != g.n - 1 or not g.is_connected():
@@ -446,7 +445,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex ``(a, b)`` gets index ``a * h.n + b``."""
     if g.n == 0 or h.n == 0:
         raise InvalidParameterError("product factors must be nonempty")
-    return make_graph(g.n * h.n, _product_edges(g, h))
+    return Graph(g.n * h.n, _product_edges(g, h))
 
 
 def _product_edges(g: Graph, h: Graph) -> list[Edge]:
@@ -477,7 +476,7 @@ def graph_power(g: Graph, k: int) -> Graph:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         edges += [(src, other) for other in dist if other > src]
-    return make_graph(g.n, edges, g.roles)
+    return Graph(g.n, edges, g.roles)
 
 
 def disjoint_union(graphs: list[Graph]) -> Graph:
@@ -490,7 +489,7 @@ def disjoint_union(graphs: list[Graph]) -> Graph:
         edges += [(u + offset, v + offset) for u, v in g.edges]
         roles[f"component_{idx}"] = list(range(offset, offset + g.n))
         offset += g.n
-    return make_graph(offset, edges, roles)
+    return Graph(offset, edges, roles)
 
 
 class HamiltonianData(NamedTuple):

@@ -31,9 +31,11 @@ Pruning:
   labels share the factor 2), and one odd edge can serve two such vertices
   only when it joins them directly, which bounds the odd edge labels still
   required from below.  A branch dies when the total remaining demand
-  exceeds the unused odd labels.  The edge bound is kept as state: the
-  counts of uncovered vertices and of unassigned edges joining two of them
-  change only when an edge is labeled, and are updated there in place.
+  exceeds the unused odd labels.  The edge bound is kept as engine state:
+  per pool of vertices, the counts of uncovered members and of unassigned
+  edges joining two of them.  They change only when an edge is labeled; the
+  edge's step sets them after a label of each parity and restores the ones
+  it found.
   The edge demand never exceeds the unassigned edges: an uncovered vertex
   keeps an unassigned incident edge, since the last-edge rule forces its
   last edge odd, so the unassigned edges cover every uncovered vertex.
@@ -99,7 +101,7 @@ while vertex 0 is unlabeled) is the smallest label not in ``free``.
 
 The key stays exact when the edge phase is the leaf.  The edge phase never
 reads a vertex label: it reads ``free`` and its own state (edge labels, the
-gcd of the labeled edges at each vertex, the cover pools), which it restores
+gcd of the labeled edges at each vertex, the cover counts), which it restores
 on exit.  ``need`` is constant during the vertex phase, and ``vdeficit`` is
 0 once every vertex is labeled, since the even labels of a component form an
 independent set.
@@ -113,9 +115,9 @@ edge of (those that leave the open set after it), whose gcds are all the
 last-edge rule reads.  A vertex-phase key opens with a ``free`` of more
 than m bits, so the two kinds of key never meet.  A vertex has an odd
 incident edge exactly when its gcd is odd, and a vertex of degree >= 2
-whose edges are all labeled has gcd 1 by the last-edge rule, so the cover
-pools (uncovered members, unlabeled edges joining two of them) and ``need``
-follow from the open gcds.
+whose edges are all labeled has gcd 1 by the last-edge rule, so each pool's
+counts (uncovered members, unlabeled edges joining two of them) and
+``need`` follow from the open gcds.
 
 Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
@@ -620,58 +622,13 @@ class _VertexEngine:
         return Labeling(list(self.vlab), {})
 
 
-class _CoverPool:
-    """Vertices that each still need an odd incident edge label, and the
-    unassigned edges joining two of them, counted in place as labels land.
-
-    Every vertex of degree >= 2 needs an odd incident edge (all-even incident
-    labels share the factor 2); one odd edge serves two such vertices only
-    along an unassigned edge joining them, so at least
-    ``max(ceil(uncovered / 2), uncovered - pairs)`` odd edge labels are still
-    required.
-
-    It reads the engine's ``elab`` and ``egcd`` in place, a vertex being
-    covered when its gcd is odd, so ``count_edge`` runs while ``elab`` holds
-    the edge's label and ``egcd`` does not count it.
-    """
-
-    __slots__ = ("member", "is_pair", "pairs_at", "uncovered", "pairs", "elab", "egcd")
-
-    def __init__(self, g: Graph, member: list[bool], elab: list[int], egcd: list[int]):
-        self.member = member
-        self.elab = elab
-        self.egcd = egcd
-        self.is_pair = [member[u] and member[v] for u, v in g.edges]
-        self.pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for ei, (u, v) in enumerate(g.edges):
-            if self.is_pair[ei]:
-                self.pairs_at[u].append((ei, v))
-                self.pairs_at[v].append((ei, u))
-        self.uncovered = sum(member)
-        self.pairs = sum(self.is_pair)
-
-    def need(self) -> int:
-        cnt = self.uncovered
-        if cnt == 0:
-            return 0
-        return max((cnt + 1) // 2, cnt - self.pairs)
-
-    def count_edge(self, ei: int, u: int, v: int, odd: int, step: int) -> None:
-        """Take edge ei = (u, v) out of the counts (``step`` -1, after
-        ``elab[ei]`` is set and before the gcds at u and v take it in) or put
-        it back (+1, after they are restored, before ``elab[ei]`` is cleared)."""
-        egcd = self.egcd
-        if self.is_pair[ei] and not egcd[u] & 1 and not egcd[v] & 1:
-            self.pairs += step
-        if not odd:
-            return
-        member, elab = self.member, self.elab
-        for x in (u, v):
-            if member[x] and not egcd[x] & 1:
-                self.uncovered += step
-                for e2, w in self.pairs_at[x]:
-                    if not elab[e2] and not egcd[w] & 1:
-                        self.pairs += step
+def _odd_edge_need(uncovered: list[int], pairs: list[int]) -> int:
+    """The odd edge labels still required.  Every vertex of degree >= 2 needs
+    an odd incident edge (all-even incident labels share the factor 2), and
+    one odd edge serves two such vertices only along an unlabeled edge joining
+    them, so a pool of c uncovered members and p such edges between them
+    needs at least max(ceil(c / 2), c - p)."""
+    return max(max((c + 1) // 2, c - p) for c, p in zip(uncovered, pairs))
 
 
 class _TotalEngine(_VertexEngine):
@@ -704,20 +661,54 @@ class _TotalEngine(_VertexEngine):
         # eorder[j:]: the vertices whose incident gcd the edge phase reads
         # from edge j on; open_masks[m] is 0
         self.open_masks = [0] * (g.m + 1)
+        # per vertex, its edges as (place in eorder, other end), latest first
+        self.edges_at: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         open_mask = 0
         for j in reversed(range(g.m)):
-            for x in g.edges[self.eorder[j]]:
-                if internal[x]:
-                    open_mask |= 1 << x
+            u, v = g.edges[self.eorder[j]]
+            open_mask |= internal[u] << u | internal[v] << v
             self.open_masks[j] = open_mask
-        # the degree-exactly-2 pool pairs only along degree2-degree2 edges,
-        # which is sometimes the sharper bound; the need is the max of both
-        # (one pool when the two vertex sets coincide)
+            self.edges_at[u].append((j, v))
+            self.edges_at[v].append((j, u))
+        # the pools of vertices whose odd-edge need is counted: the
+        # degree-exactly-2 pool pairs only along degree2-degree2 edges, which
+        # is sometimes the sharper bound; the need is the max of both (one
+        # pool when the two vertex sets coincide).  A member is uncovered
+        # while no labeled edge at it is odd, that is while its gcd is even.
         d2 = [d == 2 for d in degrees]
-        self.pools = [_CoverPool(g, internal, self.elab, self.egcd)]
-        if d2 != internal:
-            self.pools.append(_CoverPool(g, d2, self.elab, self.egcd))
-        self.need = max(pool.need() for pool in self.pools)
+        self.pools = [internal] if d2 == internal else [internal, d2]
+        # per pool, the counts of uncovered members and of unlabeled edges
+        # joining two of them
+        self.uncovered = [sum(member) for member in self.pools]
+        self.pairs = [sum(m[u] and m[v] for u, v in g.edges) for m in self.pools]
+        self.need = _odd_edge_need(self.uncovered, self.pairs)
+
+    def _cover_after(self, j: int, u: int, v: int, odd: int):
+        """``uncovered``, ``pairs`` and ``need`` once edge ``eorder[j]`` =
+        (u, v) takes a label, odd or not: the edge leaves the pairs, and an
+        odd label covers u and v, taking their pairs along.  Coverage is read
+        off the gcds, so this runs before they count edge j."""
+        egcd = self.egcd
+        even_u, even_v = not egcd[u] & 1, not egcd[v] & 1
+        both = even_u and even_v
+        # an even label changes nothing unless both ends are uncovered, an
+        # odd one nothing unless either is
+        if not (both or odd and (even_u or even_v)):
+            return self.uncovered, self.pairs, self.need
+        uncovered, pairs = [], []
+        for member, c, p in zip(self.pools, self.uncovered, self.pairs):
+            p -= both and member[u] and member[v]
+            for x in (u, v) if odd else ():
+                if member[x] and not egcd[x] & 1:
+                    c -= 1
+                    # the edges after j, none of which joins u and v
+                    for k, w in self.edges_at[x]:
+                        if k <= j:
+                            break
+                        p -= member[w] and not egcd[w] & 1
+            uncovered.append(c)
+            pairs.append(p)
+        return uncovered, pairs, _odd_edge_need(uncovered, pairs)
 
     def _pick_vertex(self, count: int) -> tuple[int, int]:
         v = self.vorder[count]
@@ -757,7 +748,6 @@ class _TotalEngine(_VertexEngine):
         u, v = self.g.edges[ei]
         elab = self.elab
         egcd = self.egcd
-        pools = self.pools
         # the last edge at a vertex of degree >= 2 must be coprime to the gcd
         # of the labels already on its other edges; edge j is the last of
         # the vertices that drop out of the open set after it
@@ -767,6 +757,10 @@ class _TotalEngine(_VertexEngine):
             allowed &= ~self.conflict[egcd[u]]
         if closing >> v & 1:
             allowed &= ~self.conflict[egcd[v]]
+        # the cover state at entry, and after an even and an odd label (each
+        # made when a label of that parity is first tried)
+        entry = self.uncovered, self.pairs, self.need
+        after = [None, None]
         seeded = None if self.order is None else self.seeded(allowed)
         while allowed:
             val = (allowed & -allowed).bit_length() - 1 if seeded is None else next(seeded)
@@ -775,19 +769,16 @@ class _TotalEngine(_VertexEngine):
             self.free ^= 1 << val
             elab[ei] = val
             odd = val & 1
-            need = self.need
-            for pool in pools:
-                pool.count_edge(ei, u, v, odd, -1)
-            self.need = max(pool.need() for pool in pools)
+            if after[odd] is None:
+                after[odd] = self._cover_after(j, u, v, odd)
+            self.uncovered, self.pairs, self.need = after[odd]
             old_u, old_v = egcd[u], egcd[v]
             egcd[u] = gcd(old_u, val)
             egcd[v] = gcd(old_v, val)
             if self.feasible() and (yield self._assign_edge(j + 1)):
                 return True
             egcd[u], egcd[v] = old_u, old_v
-            for pool in pools:
-                pool.count_edge(ei, u, v, odd, 1)
-            self.need = need
+            self.uncovered, self.pairs, self.need = entry
             elab[ei] = 0
             self.free ^= 1 << val
         if self.nodes > start:

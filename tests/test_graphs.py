@@ -50,6 +50,13 @@ class TestGraphBasics:
         with pytest.raises(InvalidParameterError):
             make_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("n", [-1, 2.5, None, True, "3"])
+    def test_bad_vertex_count_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="field 'n' is not a vertex count"):
+            Graph(n, [])
+        with pytest.raises(InvalidParameterError, match="field 'n' is not a vertex count"):
+            Graph.from_json_dict({"n": n, "edges": []})
+
     def test_json_round_trip(self):
         g = build_family(spec("helm", n=4))
         again = Graph.from_json_dict(g.to_json_dict())

@@ -798,7 +798,8 @@ def _edge_phase_reads(engine):
     return (
         engine.free,
         engine.need,
-        [(pool.uncovered, pool.pairs) for pool in engine.pools],
+        engine.uncovered,
+        engine.pairs,
         [bool(lab) for lab in engine.elab],
         pending,
         [
@@ -846,20 +847,25 @@ def test_cover_pools_match_a_recount(g, seed):
     # at every edge-phase call, each pool's counts and ``need`` are those a
     # recount from the edge labels gives: a member is uncovered while none
     # of its labeled edges is odd, and a pair is an unlabeled edge joining
-    # two uncovered members
+    # two uncovered members; the pools are the vertices of degree >= 2 and,
+    # when that set differs, those of degree exactly 2
     assign_edge = search._TotalEngine._assign_edge
+    degrees = [g.degree(x) for x in range(g.n)]
+    pools = [[d >= 2 for d in degrees]]
+    if [d == 2 for d in degrees] != pools[0]:
+        pools.append([d == 2 for d in degrees])
 
     def watched(engine, j):
         odd_edge = _edge_counts(g, engine.elab)[1]
         counts = []
-        for pool in engine.pools:
-            uncovered = [pool.member[x] and not odd_edge[x] for x in range(g.n)]
+        for member in pools:
+            uncovered = [member[x] and not odd_edge[x] for x in range(g.n)]
             pairs = sum(
                 not lab and uncovered[u] and uncovered[v]
                 for (u, v), lab in zip(g.edges, engine.elab)
             )
             counts.append((sum(uncovered), pairs))
-        assert [(pool.uncovered, pool.pairs) for pool in engine.pools] == counts
+        assert list(zip(engine.uncovered, engine.pairs)) == counts
         assert engine.need == max(max((c + 1) // 2, c - p) for c, p in counts)
         return assign_edge(engine, j)
 
