@@ -139,11 +139,16 @@ class Graph:
         with an InvalidParameterError that names the bad field."""
         if not isinstance(data, dict):
             raise InvalidParameterError("graph JSON must be an object")
-        n, edges, roles = data.get("n"), data.get("edges"), data.get("roles") or {}
+        n, edges, roles = data.get("n"), data.get("edges"), data.get("roles")
         if not isinstance(edges, list):
             raise InvalidParameterError(f"graph field 'edges' is not a list: {edges!r}")
+        roles = {} if roles is None else roles
         if not isinstance(roles, dict):
             raise InvalidParameterError(f"graph field 'roles' is not an object: {roles!r}")
+        # only flat roles, so that the graph's copy shares nothing with data
+        for name, value in roles.items():
+            if type(value) is not int and not (type(value) is list and {*map(type, value)} <= {int}):
+                raise InvalidParameterError(f"graph role {name!r} is not an int or a list of ints")
         return cls(n, edges, roles)
 
 

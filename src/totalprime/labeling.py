@@ -9,9 +9,10 @@ the range to an injection into ``1..k`` for some ``k >= n``.
 
 Verifiers report every violation, not just the first, which keeps
 construction bugs debuggable.  Vertices of degree 0 or 1 carry no incident
-edge condition.  ``verify_total_prime`` reads each edge label with one
-lookup, accepts a bijection with one sort of the labels and lists the range
-and duplicate violations only when that check fails.
+edge condition.  The three verifiers share one range check, which accepts a
+bijection with one sort of the labels and lists the range and duplicate
+violations only when that sort fails; ``verify_total_prime`` reads each
+edge label with one lookup.
 """
 
 from __future__ import annotations
@@ -143,11 +144,17 @@ def _check_shape(g: Graph, labeling: Labeling, with_edges: bool) -> list:
     return labels
 
 
-def _range_violations(labels, subjects, limit: int, exact: bool) -> list[Violation]:
-    """Injectivity into 1..limit; when exact, every value must be hit."""
+def _range_violations(g: Graph, labels: list, limit: int) -> list[Violation]:
+    """Injectivity into 1..limit of ``labels``, the vertex labels of ``g``
+    and then, if any, its edge labels.  A bijection passes with one sort;
+    any other list is walked to name each label out of range or repeated.
+    A walk that finds neither has proved a bijection when there are
+    ``limit`` labels, so no label can go unused."""
+    if sorted(labels) == list(range(1, limit + 1)):
+        return []
     out = []
-    seen: dict[int, int] = {}
-    for lab, subject in zip(labels, subjects):
+    seen: dict[int, object] = {}
+    for lab, subject in zip(labels, [*range(g.n), *g.edges]):
         if not 1 <= lab <= limit:
             out.append(
                 Violation(NON_BIJECTIVE, label=lab, note=f"out of range at {subject}")
@@ -162,9 +169,6 @@ def _range_violations(labels, subjects, limit: int, exact: bool) -> list[Violati
             )
         else:
             seen[lab] = subject
-    if exact and not out and len(seen) != limit:
-        missing = min(set(range(1, limit + 1)) - set(seen))
-        out.append(Violation(NON_BIJECTIVE, label=missing, note="label never used"))
     return out
 
 
@@ -181,17 +185,13 @@ def _coprime_violations(g: Graph, labeling: Labeling) -> list[Violation]:
 def verify_total_prime(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check bijectivity onto 1..n+m, edge coprimality, and incident gcds."""
     edge_labels = _check_shape(g, labeling, with_edges=True)
-    n, total = g.n, g.n + g.m
-    labels = [*labeling.vertex_labels, *edge_labels]
-    violations = []
-    if sorted(labels) != list(range(1, total + 1)):
-        violations = _range_violations(labels, [*range(n), *g.edges], total, exact=True)
+    violations = _range_violations(g, [*labeling.vertex_labels, *edge_labels], g.n + g.m)
     violations += _coprime_violations(g, labeling)
-    incident = [0] * n  # gcd of the edge labels at each vertex
+    incident = [0] * g.n  # gcd of the edge labels at each vertex
     for (u, v), lab in zip(g.edges, edge_labels):
         incident[u] = gcd(incident[u], lab)
         incident[v] = gcd(incident[v], lab)
-    if incident.count(1) < n:
+    if incident.count(1) < g.n:
         adjacency = g.adjacency
         violations += [
             Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
@@ -203,12 +203,7 @@ def verify_total_prime(g: Graph, labeling: Labeling) -> VerificationReport:
 
 def verify_prime(g: Graph, labeling: Labeling) -> VerificationReport:
     """Check a vertex bijection onto 1..n with coprime adjacent labels."""
-    _check_shape(g, labeling, with_edges=False)
-    violations = _range_violations(
-        labeling.vertex_labels, list(range(g.n)), g.n, exact=True
-    )
-    violations += _coprime_violations(g, labeling)
-    return VerificationReport.from_violations(violations)
+    return verify_coprime(g, labeling, g.n)
 
 
 def verify_coprime(g: Graph, labeling: Labeling, bound: int) -> VerificationReport:
@@ -216,8 +211,6 @@ def verify_coprime(g: Graph, labeling: Labeling, bound: int) -> VerificationRepo
     if bound < g.n:
         raise BoundTooSmallError(f"bound {bound} below vertex count {g.n}")
     _check_shape(g, labeling, with_edges=False)
-    violations = _range_violations(
-        labeling.vertex_labels, list(range(g.n)), bound, exact=False
-    )
+    violations = _range_violations(g, labeling.vertex_labels, bound)
     violations += _coprime_violations(g, labeling)
     return VerificationReport.from_violations(violations)

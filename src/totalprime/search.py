@@ -44,7 +44,7 @@ Pruning:
   neighbor.  Eligibility is read off ``blocked``, whose bit 2 is set exactly
   when v has an even-labeled neighbor.  The largest such set comes from one
   greedy pass up a breadth-first spanning forest, built once per engine
-  beside the class demands (once per ``minimum_coprime_number`` call): a
+  beside the class demands (so once per search call): a
   vertex is taken when it is eligible and none of its children was, which
   is exact on a forest.  The same pass with every vertex eligible gives the
   independence number of a tree component for odd-label counting; other
@@ -61,14 +61,14 @@ below it; in the most-constrained order the child's choice of vertex finds
 the empty domain before it spends a node.  The forest rule and the
 edge-phase checks run after the label is placed.
 
-Exhausted states: the vertex engine keeps one table per engine (one per
-``find_prime``/``find_coprime``/``find_total_prime`` call, one per bound of
-``minimum_coprime_number``; nothing is kept across calls) from a state key
-to the nodes spent by a subtree searched from that state to exhaustion; the
-total search's edge phase stores its own states in the same table.  When a
-key comes back, the recorded count is added to ``nodes`` and the subtree is
-not searched again; a count that passes ``node_budget`` stops the search
-exactly where ``spend()`` would have, and a hit also checks the deadline.
+Exhausted states: the vertex engine keeps one table per label limit (per
+search call, and per bound of ``minimum_coprime_number``; nothing is kept
+across calls) from a state key to the nodes spent by a subtree searched
+from that state to exhaustion; the total search's edge phase stores its own
+states in the same table.  When a key comes back, the recorded count is
+added to ``nodes`` and the subtree is not searched again; a count that
+passes ``node_budget`` stops the search exactly where ``spend()`` would
+have, and a hit also checks the deadline.
 Only a subtree that returned no labeling after spending at least one node
 is stored: every placement below it was undone, so the state at its exit is
 the state at its entry.  A state is looked up before its vertex is picked;
@@ -366,9 +366,9 @@ class _VertexEngine:
     labeled neighbors, which never read them.  ``need`` is the number of odd
     edge labels still required: 0 here, kept by the total engine.
 
-    A search call's engines share its budgets: one starts from the ``nodes``
-    its call has spent before it, with the deadline ``time_budget`` after
-    ``started``, the call's start (now, by default).
+    A search call runs on one engine, so its node count and deadline span the
+    call; ``minimum_coprime_number`` moves it between bounds with
+    ``set_limit``, sound as an exhausted search has undone every placement.
 
     CPython 3.11 keeps at most 29 attributes of an instance inline; a 30th
     moves them all into a dict, which makes every attribute read slower and
@@ -376,38 +376,40 @@ class _VertexEngine:
     total engine's edge phase takes it past them).
     """
 
-    def __init__(
-        self, g: Graph, cfg: SearchConfig, limit: int, requirements=None,
-        started: Optional[float] = None, nodes: int = 0,
-    ):
-        self.started = time.perf_counter() if started is None else started
+    def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
+        self.started = time.perf_counter()
         self.g = g
         self.adjacency = g.adjacency  # read at every node
         self.cfg = cfg
         self.node_budget = cfg.node_budget  # an attribute reads faster per node
-        self.limit = limit
-        self.order = None  # values are tried ascending, or in this order
-        if cfg.randomize is not None:
-            self.order = list(range(1, limit + 1))
-            Random(cfg.randomize).shuffle(self.order)
-        self.conflict = _conflict_masks(limit)
-        self.free = (2 << limit) - 2
         self.blocked = [0] * g.n
         self.labeled_nbrs = [0] * g.n
         self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
-        self.nodes = nodes
+        self.nodes = 0
         self.deadline = self.started + cfg.time_budget if cfg.time_budget else None
-        reqs, comp_of, bottom_up, parent = requirements or _component_requirements(g)
+        reqs, comp_of, bottom_up, parent = _component_requirements(g)
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
         self.vertex_class = comp_of
-        # the odd labels: bits 1, 3, 5, ... up to limit, twice 1 + 4 + 16 + ...
-        self.odd_labels = (4 ** ((limit + 1) // 2) - 1) // 3 * 2
         self.need = 0
         # the spanning forest the forest rule reads, kept on forests only
         self.forest = (bottom_up, parent) if g.m == g.n - len(reqs) else None
+        self.set_limit(limit)
+
+    def set_limit(self, limit: int) -> None:
+        """Label into 1..limit, every label free and the table of exhausted
+        states empty: all that depends on the limit.  No vertex is labeled."""
+        self.limit = limit
+        self.order = None  # values are tried ascending, or in this order
+        if self.cfg.randomize is not None:
+            self.order = list(range(1, limit + 1))
+            Random(self.cfg.randomize).shuffle(self.order)
+        self.conflict = _conflict_masks(limit)
+        self.free = (2 << limit) - 2
+        # the odd labels: bits 1, 3, 5, ... up to limit, twice 1 + 4 + 16 + ...
+        self.odd_labels = (4 ** ((limit + 1) // 2) - 1) // 3 * 2
         # state key -> nodes spent by a subtree searched to exhaustion from
         # it, in two generations: new entries go to ``exhausted``, and a full
         # ``exhausted`` becomes ``older``, dropping the previous ``older``
@@ -859,29 +861,23 @@ def minimum_coprime_number(
     """Smallest bound in [n, k_max] admitting a coprime labeling, with witness.
 
     Bounds are tried in increasing order, each by complete search, so the
-    first hit is the minimum coprime number.  The bounds share one node count
-    and one deadline, as a single search would: the deadline is checked every
-    1,024 nodes of that count and at each replay.  Raises
+    first hit is the minimum coprime number.  One engine runs every bound,
+    with one node count and one deadline, as a single search would: the
+    deadline is checked every 1,024 nodes and at each replay.  Raises
     NotFoundWithinBoundError when every bound up to ``k_max`` is exhausted
     without a labeling.
     """
     if k_max < g.n:
         raise InvalidParameterError("k_max below vertex count")
-    cfg = cfg or SearchConfig()
-    started = time.perf_counter()
-    requirements = _component_requirements(g)  # the same for every bound
-    nodes = 0
-    for bound in range(g.n, k_max + 1):
-        outcome = _run(_VertexEngine(g, cfg, bound, requirements, started, nodes))
-        if outcome.status != EXHAUSTED:
-            value = bound if outcome.status == FOUND else None
-            return MinimumCoprimeResult(
-                outcome.status, value, outcome.labeling, outcome.nodes_explored, outcome.elapsed
-            )
-        nodes = outcome.nodes_explored
-    raise NotFoundWithinBoundError(
-        f"no coprime labeling with max label <= {k_max}"
-    )
+    engine = _VertexEngine(g, cfg or SearchConfig(), g.n)
+    while True:
+        status, labeling, nodes, elapsed = _run(engine)
+        if status != EXHAUSTED:
+            value = engine.limit if status == FOUND else None
+            return MinimumCoprimeResult(status, value, labeling, nodes, elapsed)
+        if engine.limit == k_max:
+            raise NotFoundWithinBoundError(f"no coprime labeling with max label <= {k_max}")
+        engine.set_limit(engine.limit + 1)
 
 
 class OddCountCertificate(NamedTuple):

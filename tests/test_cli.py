@@ -289,6 +289,39 @@ class TestMalformedInput:
         assert main([*command, "--in", str(doc), *flags]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, document, named",
+        [
+            (["generate", "--family", "union"], None, "--cycles"),
+            (["generate", "--family", "tree"], None, "--edges"),
+            (["generate", "--family", "tree", "--edges", '{"a": 1}'], None, "--edges"),
+            (["search", "--prime"], None, "--family or --in"),
+            (["search", "--prime", "--in"], [], "does not hold a JSON object"),
+            (["generate", "--in"], {"n": 3, "edges": {"a": 1}}, "field 'edges'"),
+            (["verify", "--in"], {"graph": [], "labeling": {"vertex_labels": []}}, "graph JSON"),
+            (["verify", "--in"],
+             {"graph": {"n": 2, "edges": [[0, 1]]},
+              "labeling": {"vertex_labels": [1, 2], "edge_labels": 5}},
+             "field 'edge_labels'"),
+            (["verify", "--in"],
+             {"graph": {"n": 2, "edges": [[0, 1]]},
+              "labeling": {"vertex_labels": [1, 2], "edge_labels": [[0, 3]]}},
+             "field 'edge_labels[0]'"),
+            (["search", "--prime", "--in"], {"n": 3, "edges": [[0, 1]], "roles": []},
+             "field 'roles'"),
+        ],
+    )
+    def test_outside_input_exit_2(self, tmp_path, capsys, argv, document, named):
+        # one stderr line naming the field or flag, and no traceback
+        if document is not None:
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(document))
+            argv = [*argv, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+
     def test_undecodable_file_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff{")

@@ -269,6 +269,19 @@ class TestWindmill:
         with pytest.raises(exc):
             windmill(n, m)
 
+    @pytest.mark.parametrize(
+        "n, m, scheme, message",
+        [
+            (4, 3, "pair", "pair scheme needs exactly 2 copies"),
+            (3, 2, "pair", "pair scheme needs exactly 2 copies"),
+            (5, 2, "k4", "scheme k4 needs clique 4"),
+            (4, 2, "k7", "unknown windmill scheme 'k7'"),
+        ],
+    )
+    def test_bad_scheme(self, n, m, scheme, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            windmill(n, m, scheme=scheme)
+
     @given(st.integers(1, 100_000))
     def test_exactly_one_case_applies_per_clique(self, i):
         hits = [x for x in (10 * i - 7, 10 * i - 5, 10 * i - 3) if x % 3 == 0]

@@ -109,6 +109,28 @@ class TestGraphBasics:
         h.to_json_dict()["roles"]["path"].append(0)
         assert h.roles == {"path": [1, 2]}
 
+    @pytest.mark.parametrize(
+        "roles, named",
+        [
+            ([], "field 'roles'"),
+            (0, "field 'roles'"),
+            ("", "field 'roles'"),
+            (False, "field 'roles'"),
+            ({"a": [1, [2]]}, "role 'a'"),
+            ({"b": {"c": [3]}}, "role 'b'"),
+            ({"a": [1, True]}, "role 'a'"),
+            ({"a": 2.0}, "role 'a'"),
+        ],
+    )
+    def test_bad_roles_rejected(self, roles, named):
+        # a value a graph could not own outright is refused where it is loaded
+        with pytest.raises(InvalidParameterError, match=named):
+            Graph.from_json_dict({"n": 3, "edges": [[0, 1]], "roles": roles})
+
+    def test_missing_or_null_roles_are_none(self):
+        assert Graph.from_json_dict({"n": 3, "edges": []}).roles == {}
+        assert Graph.from_json_dict({"n": 3, "edges": [], "roles": None}).roles == {}
+
     def test_components(self):
         g = build_family(
             spec("union", members=(spec("cycle", n=3), spec("path", n=2)))

@@ -684,14 +684,15 @@ def _vertex_outcome(call):
 
 
 def _without_table(call):
-    init = search._VertexEngine.__init__
+    # set_limit makes the table, at set-up and between the bounds of an MCN call
+    set_limit = search._VertexEngine.set_limit
 
-    def init_without_table(engine, *args, **kwargs):
-        init(engine, *args, **kwargs)
+    def set_limit_without_table(engine, limit):
+        set_limit(engine, limit)
         engine.exhausted = _NoTable()
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search._VertexEngine, "__init__", init_without_table)
+        patch.setattr(search._VertexEngine, "set_limit", set_limit_without_table)
         return _vertex_outcome(call)
 
 
@@ -955,6 +956,38 @@ def test_time_budget_trips_among_replays(monkeypatch):
     out = find_coprime(complete(7), 12, SearchConfig(time_budget=5.0))
     assert out.status == BUDGET_EXCEEDED
     assert out.nodes_explored < 10_584
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: find_prime(build_family(FamilySpec("path", n=3_000)), cfg),
+        lambda cfg: find_total_prime(cycle(1_300), cfg),
+    ],
+    ids=["prime", "total"],
+)
+def test_time_budget_trips_in_spend(monkeypatch, call):
+    # the clock ticks once a read: at the start, then at nodes 1,024 and
+    # 2,048, where spend() finds the deadline passed; nothing is replayed
+    clock = itertools.count()
+    monkeypatch.setattr(search.time, "perf_counter", lambda: float(next(clock)))
+    out = call(SearchConfig(time_budget=1.5))
+    assert out.status == BUDGET_EXCEEDED
+    assert out.nodes_explored == 2_048
+
+
+def test_time_budget_trips_in_a_later_bound(monkeypatch):
+    # with symmetry breaking, K7's bounds 7 to 11 exhaust in 2,094 nodes; the
+    # clock counts its reads (the start, each replay, each 1,024th node), and
+    # the first read past 412.5 is spend()'s at node 3,072 of the call's one
+    # count, in bound 12
+    cfg = SearchConfig(symmetry_breaking=True)
+    before = sum(find_coprime(complete(7), b, cfg).nodes_explored for b in range(7, 12))
+    clock = itertools.count()
+    monkeypatch.setattr(search.time, "perf_counter", lambda: float(next(clock)))
+    out = minimum_coprime_number(complete(7), 13, cfg._replace(time_budget=412.5))
+    assert (out.status, out.value) == (BUDGET_EXCEEDED, None)
+    assert out.nodes_explored == 3_072 > before == 2_094
 
 
 # --- independence numbers of forests -----------------------------------------
