@@ -35,8 +35,9 @@ class Graph:
 
     Edges may be given in any orientation and order; construction stores
     them canonically (``u < v``, sorted) and rejects self-loops, duplicates,
-    out-of-range endpoints and an ``n`` that is not an int >= 0.  Graphs are
-    immutable; equality compares ``n``, ``edges`` and ``roles``.
+    out-of-range endpoints, an ``n`` that is not an int >= 0 and ``roles``
+    that are neither None nor a dict.  Graphs are immutable; equality
+    compares ``n``, ``edges`` and ``roles``.
     ``adjacency``, the sorted neighbour lists, is derived from the edges on
     its first read and kept; a reader that loops over vertices binds it once.
     """
@@ -52,10 +53,14 @@ class Graph:
     ) -> None:
         if type(n) is not int or n < 0:
             raise InvalidParameterError(f"graph field 'n' is not a vertex count: {n!r}")
+        if roles is None:
+            roles = {}
+        elif not isinstance(roles, dict):
+            raise InvalidParameterError(f"graph field 'roles' is not an object: {roles!r}")
         init = object.__setattr__
         init(self, "n", n)
         init(self, "edges", _index_edges(n, edges))
-        init(self, "roles", _copy_roles(roles or {}))
+        init(self, "roles", _copy_roles(roles))
         init(self, "_adjacency", None)
 
     @property
@@ -142,14 +147,12 @@ class Graph:
         n, edges, roles = data.get("n"), data.get("edges"), data.get("roles")
         if not isinstance(edges, list):
             raise InvalidParameterError(f"graph field 'edges' is not a list: {edges!r}")
-        roles = {} if roles is None else roles
-        if not isinstance(roles, dict):
-            raise InvalidParameterError(f"graph field 'roles' is not an object: {roles!r}")
-        # only flat roles, so that the graph's copy shares nothing with data
-        for name, value in roles.items():
-            if type(value) is not int and not (type(value) is list and {*map(type, value)} <= {int}):
-                raise InvalidParameterError(f"graph role {name!r} is not an int or a list of ints")
-        return cls(n, edges, roles)
+        if isinstance(roles, dict):
+            # only flat roles, so that the graph's copy shares nothing with data
+            for name, value in roles.items():
+                if type(value) is not int and not (type(value) is list and {*map(type, value)} <= {int}):
+                    raise InvalidParameterError(f"graph role {name!r} is not an int or a list of ints")
+        return cls(n, edges, roles)  # which refuses roles that are not an object
 
 
 def _copy_roles(roles: RoleMap) -> RoleMap:

@@ -42,17 +42,21 @@ Pruning:
 * forest parity placement: on forests, the even labels still to be placed
   must fit an independent set of unassigned vertices with no even-labeled
   neighbor.  Eligibility is read off ``blocked``, whose bit 2 is set exactly
-  when v has an even-labeled neighbor.  The largest such set comes from one
-  greedy pass up a breadth-first spanning forest, built once per engine
-  beside the class demands (so once per search call): a
-  vertex is taken when it is eligible and none of its children was, which
-  is exact on a forest.  The same pass with every vertex eligible gives the
-  independence number of a tree component for odd-label counting; other
-  components get it by branching.
+  when v has an even-labeled neighbor.  The largest such set is the greedy
+  one up a breadth-first spanning forest, built once per engine beside the
+  class demands (so once per search call): a vertex is taken when it is
+  eligible and none of its children was, which is exact on a forest.  The
+  greedy set depends only on which vertices are eligible, so it is kept
+  rather than recounted: a placement or removal at v rechecks v and, for an
+  even label, its neighbors, each recheck walking up the parent chain only
+  while a vertex's taken flag flips, and the count of taken vertices is
+  always the one a fresh pass gives.  That pass with every vertex eligible
+  gives the independence number of a tree component for odd-label
+  counting; other components get it by branching.
 
 Checks before a placement: a value counts as a node when it is tried, but
-a check whose outcome the current state already decides runs before
-``place_vertex`` rewrites the neighbors' masks.  The odd-label count is one:
+a check whose outcome the current state already decides runs before the
+placement rewrites the neighbors' masks.  The odd-label count is one:
 an even vertex label leaves it unchanged, and an odd one breaks it exactly
 when the vertex's class has its odd labels and none is spare, counting
 ``need`` (0 outside the total search).  A value that would empty the domain
@@ -67,8 +71,8 @@ across calls) from a state key to the nodes spent by a subtree searched
 from that state to exhaustion; the total search's edge phase stores its own
 states in the same table.  When a key comes back, the recorded count is
 added to ``nodes`` and the subtree is not searched again; a count that
-passes ``node_budget`` stops the search exactly where ``spend()`` would
-have, and a hit also checks the deadline.
+passes ``node_budget`` stops the search exactly where counting its nodes
+one by one would have, and a hit also checks the deadline.
 Only a subtree that returned no labeling after spending at least one node
 is stored: every placement below it was undone, so the state at its exit is
 the state at its entry.  A state is looked up before its vertex is picked;
@@ -89,11 +93,11 @@ time linear in its length: ``free``; each class's count of odd vertex
 labels; per vertex in index order 1 when labeled, else
 ``blocked[v] & (free | 4)``.  A field of an unlabeled vertex never has bit 0
 set, so it cannot be taken for a labeled one.  Everything the subtree reads
-follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``,
-from the labeled set; ``odds_left()``, from ``free``;
-``vdeficit``, from the odd counts; the neighbor-wipeout check;
-``place_vertex``'s updates, since blocked labels that are no longer free
-stay out of every later domain; the forest rule's eligibility, as bit 2 of
+follows from the key: the domains ``free & ~blocked[v]``; ``labeled_nbrs``
+and ``frontier``, from the labeled set; the odd labels left, from ``free``;
+``vdeficit``, from the odd counts; the neighbor-wipeout check; a
+placement's updates, since blocked labels that are no longer free stay out
+of every later domain; the forest rule's eligibility, as bit 2 of
 ``blocked[v]`` is set exactly when v has an even-labeled neighbor; and
 symmetry breaking, which keeps vertex 0's label below every other label, so
 that the label it compares against (vertex 0's, or the smallest elsewhere
@@ -110,7 +114,7 @@ An edge-phase key, taken before the j-th edge of the edge order, holds
 ``free`` and then the incident gcd of each open vertex, one of degree >= 2
 with an edge still to label, in index order.  That is all the phase reads
 from there.  ``free`` has m - j bits, so it fixes j: the labeled edges,
-the open vertices, ``odds_left()``, and the vertices edge j is the last
+the open vertices, the odd labels left, and the vertices edge j is the last
 edge of (those that leave the open set after it), whose gcds are all the
 last-edge rule reads.  A vertex-phase key opens with a ``free`` of more
 than m bits, so the two kinds of key never meet.  A vertex has an odd
@@ -121,19 +125,26 @@ counts (uncovered members, unlabeled edges joining two of them) and
 
 Variable order: the vertex engine picks the most constrained vertex next
 (smallest domain by ``bit_count``, then most labeled neighbors, then index),
-which keeps backtracking shallow even on 50-vertex trees.  The total search
-replaces that choice with a Prim-style sweep seeded at the highest-degree
-vertex, and labels the edges grouped by that vertex order so each vertex's
-incident set completes early.  Values are tried ascending, each peeled as
+which keeps backtracking shallow even on 50-vertex trees.  It reads only the
+touched vertices, those in ``frontier``, in index order: an untouched vertex
+has domain ``free`` and no labeled neighbor, so every touched one beats it,
+and with none touched the pick is the first unlabeled vertex, domain
+``free``.  The total search replaces that choice with a Prim-style sweep
+seeded at the highest-degree vertex, and labels the edges grouped by that
+vertex order so each vertex's incident set completes early.  Values are tried ascending, each peeled as
 the lowest set bit of the mask of untried values, unless a shuffle seed is
 set; then the seeded order of all labels is read through the mask.  No
 search step lists its domain.
 
-Explicit stack: ``_assign`` and ``_assign_edge`` return True or False when
-the state decides at once, else a step: a generator that tries one vertex's
-or edge's values, yields each sub-search and is sent its result.  ``_drive``
-runs the steps on a list of suspended generators, so no search touches the
-interpreter's recursion limit, however many labels deep it goes.
+One loop: ``_VertexEngine.search`` runs every step of both phases.  A step
+tries one vertex's or edge's values; entering the state below a value either
+replays it, refuses it at once (an empty domain, or a closed edge with no
+value) or sets up its step, whose caller's locals are pushed on an explicit
+list of step records and popped when the step has tried every value.  So no
+search touches the interpreter's recursion limit, however many labels deep
+it goes.  The loop keeps ``free``, ``nodes``, ``vdeficit``, ``frontier``
+and the forest count in locals and writes them back however it ends, so
+``minimum_coprime_number``'s next bound and a budget outcome read them.
 """
 
 from __future__ import annotations
@@ -245,10 +256,11 @@ def _forest_independent_set(bottom_up, parent, vlab, blocked) -> list[int]:
 
 
 def _component_requirements(g: Graph):
-    """Per-component odd vertex-label demands, the vertex->class map, and a
-    breadth-first spanning forest for ``_forest_independent_set``: its
+    """Per-component odd vertex-label demands, the vertex->class map, a
+    breadth-first spanning forest for ``_forest_independent_set`` (its
     vertices listed so that each follows its children, and each vertex's
-    parent (a root is its own).
+    parent, a root being its own) and that pass's set with every vertex
+    eligible.
 
     A component needs at least (order - independence number) odd labels.
     The independence number is exact up to 30 vertices: from the greedy pass
@@ -275,8 +287,9 @@ def _component_requirements(g: Graph):
         order += comp
     bottom_up = order[::-1]
     nothing = [0] * n
+    greedy = _forest_independent_set(bottom_up, parent, nothing, nothing)
     tree_alpha = [0] * len(comps)
-    for v in _forest_independent_set(bottom_up, parent, nothing, nothing):
+    for v in greedy:
         tree_alpha[comp_of[v]] += 1
     reqs = []
     for cid, comp in enumerate(comps):
@@ -287,7 +300,7 @@ def _component_requirements(g: Graph):
         else:
             alpha = _independence_number(g, comp)
         reqs.append(len(comp) - alpha)
-    return reqs, comp_of, bottom_up, parent
+    return reqs, comp_of, bottom_up, parent, greedy
 
 
 # Entries a generation of the vertex engine's table of exhausted states
@@ -362,9 +375,13 @@ class _VertexEngine:
     ``blocked[v]`` has bit x set when x shares a prime with the label of some
     labeled neighbor of v, so the values v may still take are
     ``free & ~blocked[v]``.  ``labeled_nbrs`` counts those neighbors and
-    breaks ties in the choice of vertex.  A placement leaves both alone at its
-    labeled neighbors, which never read them.  ``need`` is the number of odd
-    edge labels still required: 0 here, kept by the total engine.
+    breaks ties in the choice of vertex; bit v of ``frontier`` is set while v
+    is unlabeled and has a labeled neighbor.  A placement leaves ``blocked``
+    and ``labeled_nbrs`` alone at its labeled neighbors, which never read
+    them.  ``need`` is the number of odd edge labels still required: 0 here,
+    kept by the total engine.  On forests, ``forest`` holds the spanning
+    forest's ``parent``, the greedy pass's taken flags and each vertex's count
+    of taken children, and ``forest_count`` the number taken.
 
     A search call runs on one engine, so its node count and deadline span the
     call; ``minimum_coprime_number`` moves it between bounds with
@@ -376,26 +393,37 @@ class _VertexEngine:
     total engine's edge phase takes it past them).
     """
 
+    vorder = None  # the total engine's fixed vertex order; None picks by domain
+
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
         self.started = time.perf_counter()
         self.g = g
-        self.adjacency = g.adjacency  # read at every node
         self.cfg = cfg
-        self.node_budget = cfg.node_budget  # an attribute reads faster per node
         self.blocked = [0] * g.n
         self.labeled_nbrs = [0] * g.n
-        self.trail: list[int] = []  # blocked masks overwritten by place_vertex
         self.vlab = [0] * g.n
+        self.frontier = 0
         self.nodes = 0
         self.deadline = self.started + cfg.time_budget if cfg.time_budget else None
-        reqs, comp_of, bottom_up, parent = _component_requirements(g)
+        reqs, comp_of, _, parent, greedy = _component_requirements(g)
         self.vreq = reqs
         self.vodd = [0] * len(reqs)
         self.vdeficit = sum(reqs)
         self.vertex_class = comp_of
         self.need = 0
-        # the spanning forest the forest rule reads, kept on forests only
-        self.forest = (bottom_up, parent) if g.m == g.n - len(reqs) else None
+        # the forest rule's state, kept on forests only: every vertex is
+        # eligible while none is labeled
+        self.forest = None
+        self.forest_count = 0
+        if g.m == g.n - len(reqs):
+            taken = [False] * g.n
+            kids = [0] * g.n
+            for v in greedy:
+                taken[v] = True
+                if parent[v] != v:
+                    kids[parent[v]] += 1
+            self.forest = (parent, taken, kids)
+            self.forest_count = len(greedy)
         self.set_limit(limit)
 
     def set_limit(self, limit: int) -> None:
@@ -424,83 +452,20 @@ class _VertexEngine:
         self.labeled_field = (1).to_bytes(self.field_bytes, "little")
         self.unblocked_field = bytes(self.field_bytes)
 
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise _OutOfBudget
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.perf_counter() > self.deadline:
-                raise _OutOfBudget
-
     def seeded(self, mask: int):
         """The values of ``mask`` in the seeded order, read as they are tried."""
         return (x for x in self.order if mask >> x & 1)
 
-    def odds_left(self) -> int:
-        """The number of odd labels still unused."""
-        return (self.free & self.odd_labels).bit_count()
-
     def feasible(self) -> bool:
         """The odd labels left must cover the odd vertex labels and the odd
         edge labels still required; vertex placements never move ``need``."""
-        return self.vdeficit + self.need <= self.odds_left()
+        return self.vdeficit + self.need <= (self.free & self.odd_labels).bit_count()
 
-    def odd_values_fail(self, v: int) -> bool:
-        """Whether an odd label at v breaks the odd-label count: it does when
-        v's class already has its odd vertex labels and none is spare.  Even
-        labels leave the count as it was, and the count held before v."""
-        cls = self.vertex_class[v]
-        return self.vodd[cls] >= self.vreq[cls] and self.vdeficit + self.need == self.odds_left()
-
-    def place_vertex(self, v: int, val: int) -> None:
-        self.free ^= 1 << val
-        vlab = self.vlab
-        vlab[v] = val
-        conflict = self.conflict[val]
-        blocked = self.blocked
-        labeled_nbrs = self.labeled_nbrs
-        trail = self.trail
-        for u in self.adjacency[v]:
-            if not vlab[u]:
-                trail.append(blocked[u])
-                blocked[u] |= conflict
-                labeled_nbrs[u] += 1
-        if val & 1:
-            cls = self.vertex_class[v]
-            if self.vodd[cls] < self.vreq[cls]:
-                self.vdeficit -= 1
-            self.vodd[cls] += 1
-
-    def unplace_vertex(self, v: int, val: int) -> None:
-        if val & 1:
-            cls = self.vertex_class[v]
-            self.vodd[cls] -= 1
-            if self.vodd[cls] < self.vreq[cls]:
-                self.vdeficit += 1
-        blocked = self.blocked
-        labeled_nbrs = self.labeled_nbrs
-        trail = self.trail
-        vlab = self.vlab
-        for u in reversed(self.adjacency[v]):
-            if not vlab[u]:
-                blocked[u] = trail.pop()
-                labeled_nbrs[u] -= 1
-        vlab[v] = 0
-        self.free ^= 1 << val
-
-    def _even_placement_ok(self, unassigned: int) -> bool:
-        """On forests: the evens still forced onto vertices must fit an
-        independent set of unassigned vertices with no even neighbor."""
-        evens_needed = unassigned - self.odds_left()
-        return evens_needed <= 0 or len(
-            _forest_independent_set(*self.forest, self.vlab, self.blocked)
-        ) >= evens_needed
-
-    def _state_key(self) -> bytes:
-        """The current state's key; the module docstring says what it packs
-        and why that is all the subtree below it reads."""
+    def _state_key(self, free: int) -> bytes:
+        """The key of the current state, whose unused labels are ``free``; the
+        module docstring says what it packs and why that is all the subtree
+        below it reads."""
         size = self.field_bytes
-        free = self.free
         seen = free | 4
         labeled, unblocked = self.labeled_field, self.unblocked_field
         parts = [free.to_bytes(size, "little")]
@@ -512,23 +477,6 @@ class _VertexEngine:
             else:
                 parts.append((mask & seen).to_bytes(size, "little") if mask else unblocked)
         return b"".join(parts)
-
-    def _replayed(self, key: bytes) -> bool:
-        """Whether the subtree at ``key`` was searched to exhaustion; if so,
-        count its nodes again without searching it, stopping where spend()
-        would have."""
-        spent = self.exhausted.get(key)
-        if spent is None:
-            spent = self.older.get(key)
-            if spent is None:
-                return False
-        self.nodes += spent
-        if self.nodes > self.node_budget:
-            self.nodes = self.node_budget + 1
-            raise _OutOfBudget
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _OutOfBudget
-        return True
 
     def _store(self, key: bytes, spent: int) -> None:
         """Record that the subtree at ``key`` spent ``spent`` nodes and found
@@ -542,83 +490,263 @@ class _VertexEngine:
         self.exhausted[key] = spent
         self.exhausted_bytes += len(key)
 
-    def _pick_vertex(self, count: int) -> tuple[int, int]:
-        """The unassigned vertex minimising (domain size, -labeled neighbors,
-        index), with its domain as a mask; stops early at an empty domain.
-        ``count`` vertices are labeled so far."""
-        free = self.free
-        blocked = self.blocked
-        labeled_nbrs = self.labeled_nbrs
-        vlab = self.vlab
-        best, best_allowed = -1, 0
-        best_size, best_nbrs = self.limit + 1, 0
-        for v in range(self.g.n):
-            if vlab[v]:
-                continue
-            allowed = free & ~blocked[v]
-            size = allowed.bit_count()
-            if size < best_size or (size == best_size and labeled_nbrs[v] > best_nbrs):
-                best, best_allowed = v, allowed
-                best_size, best_nbrs = size, labeled_nbrs[v]
-                if size == 0:
+    def search(self) -> bool:
+        """Search on from the state with no vertex labeled: True with the
+        labeling in place, or False with every placement undone; raises
+        _OutOfBudget where the node budget or the deadline runs out.
+
+        One loop runs the steps of both phases (see the module docstring).
+        The state changed at every node lives in locals, written back however
+        the search ends."""
+        g = self.g
+        n = g.n
+        adjacency = g.adjacency
+        vlab, blocked, labeled_nbrs = self.vlab, self.blocked, self.labeled_nbrs
+        vodd, vreq, vertex_class = self.vodd, self.vreq, self.vertex_class
+        conflict, odd_labels, order, limit = self.conflict, self.odd_labels, self.order, self.limit
+        symmetry_breaking = self.cfg.symmetry_breaking
+        budget, deadline, need = self.cfg.node_budget, self.deadline, self.need
+        vorder, forest = self.vorder, self.forest
+        if forest is not None:
+            parent, taken, kids = forest
+        if vorder is not None:
+            edges, eorder, elab, egcd = g.edges, self.eorder, self.elab, self.egcd
+            open_masks = self.open_masks
+        free, nodes, vdeficit = self.free, self.nodes, self.vdeficit
+        frontier, forest_count = self.frontier, self.forest_count
+        trail: list[int] = []  # blocked masks that placements overwrote
+        # the locals of the suspended steps, as lists: a tuple the interpreter
+        # frees is kept for reuse, so a deep search's would outlive it
+        stack: list[list] = []
+        count = 0  # the vertices labeled
+        j = -1  # the current step's place in eorder, or -1 for a vertex step
+        enter, undo, recheck = True, False, False
+        try:
+            while True:
+                if undo:
+                    # take the current step's value back
+                    undo = False
+                    if j >= 0:
+                        egcd[eu], egcd[ev] = old_u, old_v
+                        self.uncovered, self.pairs, self.need = entry
+                        need = entry[2]
+                        elab[ei] = 0
+                        free ^= 1 << val
+                    elif not count:
+                        return False  # the root state was refused
+                    else:
+                        vlab[v] = 0
+                        count -= 1
+                        if val & 1:
+                            cls = vertex_class[v]
+                            vodd[cls] -= 1
+                            if vodd[cls] < vreq[cls]:
+                                vdeficit += 1
+                        for u in reversed(adjacency[v]):
+                            if not vlab[u]:
+                                blocked[u] = trail.pop()
+                                labeled_nbrs[u] -= 1
+                        free ^= 1 << val
+                        frontier = entry_frontier
+                        recheck = forest is not None
+                if recheck:
+                    # the forest rule's greedy set after v's placement or
+                    # removal: v's eligibility changed, and its neighbors'
+                    # with an even label
+                    recheck = False
+                    for x in (v,) if val & 1 else (v, *adjacency[v]):
+                        while True:  # up the forest while a flag flips
+                            now = not (vlab[x] or blocked[x] & 4 or kids[x])
+                            if now == taken[x]:
+                                break
+                            taken[x] = now
+                            forest_count += 1 if now else -1
+                            if parent[x] == x:
+                                break
+                            x = parent[x]
+                            kids[x] += 1 if now else -1
+                    # the even labels still forced onto vertices must fit it
+                    if enter and forest_count < n - count - (free & odd_labels).bit_count():
+                        enter, undo = False, True
+                        continue
+                if enter:
+                    # the state below the current step's value: replayed if
+                    # it was searched to exhaustion, else its step is set up
+                    enter = False
+                    edge_phase = count == n
+                    if edge_phase and (vorder is None or j + 1 == len(eorder)):
+                        return True
+                    new_key = None
+                    if self.exhausted:  # a search that never fails builds no key
+                        new_key = self._edge_key(j + 1, free) if edge_phase else self._state_key(free)
+                        spent = self.exhausted.get(new_key)
+                        if spent is None:
+                            spent = self.older.get(new_key)
+                        if spent is not None:
+                            nodes += spent
+                            if nodes > budget:
+                                nodes = budget + 1
+                                raise _OutOfBudget
+                            if deadline is not None and time.perf_counter() > deadline:
+                                raise _OutOfBudget
+                            undo = True
+                            continue
+                    if not edge_phase:
+                        if vorder is not None:
+                            new_v = vorder[count]
+                            new_allowed = free & ~blocked[new_v]
+                        elif frontier:
+                            # the most constrained vertex is a touched one
+                            best, most = limit + 1, 0
+                            rest = frontier
+                            while rest:
+                                low = rest & -rest
+                                u = low.bit_length() - 1
+                                rest ^= low
+                                domain = free & ~blocked[u]
+                                size = domain.bit_count()
+                                if size < best or size == best and labeled_nbrs[u] > most:
+                                    new_v, new_allowed, best, most = u, domain, size, labeled_nbrs[u]
+                                    if not size:
+                                        break
+                        else:
+                            new_v, new_allowed = vlab.index(0), free
+                    else:
+                        # the last edge at a vertex of degree >= 2 must be
+                        # coprime to the gcd of the labels on its other edges;
+                        # the next edge is the last of the vertices that drop
+                        # out of the open set after it
+                        new_ei = eorder[j + 1]
+                        x, y = edges[new_ei]
+                        new_allowed = free
+                        closing = open_masks[j + 1] & ~open_masks[j + 2]
+                        if closing >> x & 1:
+                            new_allowed &= ~conflict[egcd[x]]
+                        if closing >> y & 1:
+                            new_allowed &= ~conflict[egcd[y]]
+                    if not new_allowed:
+                        undo = True
+                        continue
+                    # suspend the current step, if any
+                    if j >= 0:
+                        stack.append(
+                            [j, ei, eu, ev, allowed, val, key, start, entry, after, seeded, old_u, old_v]
+                        )
+                    elif count:
+                        stack.append(
+                            [v, allowed, val, key, start, odd_fails, domains, seeded, entry_frontier]
+                        )
+                    allowed, key, start = new_allowed, new_key, nodes
+                    if not edge_phase:
+                        v = new_v
+                        entry_frontier = frontier
+                        if symmetry_breaking:  # vertex 0 takes the smallest label
+                            if v == 0:
+                                used = ((2 << limit) - 2) & ~free  # the labels placed so far
+                                if used:
+                                    allowed &= ((used & -used) << 1) - 1
+                            elif vlab[0]:
+                                allowed &= -(1 << vlab[0])
+                        # an odd label breaks the odd-label count when v's
+                        # class has its odd labels and none is spare
+                        cls = vertex_class[v]
+                        odd_fails = (
+                            vodd[cls] >= vreq[cls]
+                            and vdeficit + need == (free & odd_labels).bit_count()
+                        )
+                        domains = []
+                        for u in adjacency[v]:
+                            if not vlab[u]:
+                                domains.append(free & ~blocked[u])
+                    else:
+                        j, ei, eu, ev = j + 1, new_ei, x, y
+                        # the cover state at entry, and after an even and an
+                        # odd label (each made when first tried)
+                        entry = self.uncovered, self.pairs, self.need
+                        after = [None, None]
+                    seeded = None if order is None else self.seeded(allowed)
+                # the current step tries its next value
+                while allowed:
+                    if seeded is None:
+                        bit = allowed & -allowed
+                        val = bit.bit_length() - 1
+                    else:
+                        val = next(seeded)
+                        bit = 1 << val
+                    allowed ^= bit
+                    nodes += 1
+                    if nodes > budget or (
+                        deadline is not None and not nodes & 1023 and time.perf_counter() > deadline
+                    ):
+                        raise _OutOfBudget
+                    if j >= 0:
+                        free ^= bit
+                        elab[ei] = val
+                        odd = val & 1
+                        cover = after[odd]
+                        if cover is None:
+                            cover = after[odd] = self._cover_after(j, eu, ev, odd)
+                        self.uncovered, self.pairs, self.need = cover
+                        need = cover[2]
+                        old_u, old_v = egcd[eu], egcd[ev]
+                        egcd[eu] = gcd(old_u, val)
+                        egcd[ev] = gcd(old_v, val)
+                        if vdeficit + need <= (free & odd_labels).bit_count():
+                            enter = True
+                        else:
+                            undo = True
+                        break
+                    if val & 1 and odd_fails:
+                        continue
+                    # a value that empties the domain of an unlabeled neighbor
+                    # leaves that neighbor nothing: refused unplaced
+                    keep = ~(conflict[val] | bit)
+                    wiped = False
+                    for domain in domains:
+                        if not domain & keep:
+                            wiped = True
+                            break
+                    if wiped:
+                        continue
+                    vlab[v] = val
+                    count += 1
+                    free ^= bit
+                    mask = conflict[val]
+                    frontier = entry_frontier & ~(1 << v)
+                    for u in adjacency[v]:
+                        if not vlab[u]:
+                            trail.append(blocked[u])
+                            blocked[u] |= mask
+                            labeled_nbrs[u] += 1
+                            frontier |= 1 << u
+                    if val & 1:
+                        cls = vertex_class[v]
+                        if vodd[cls] < vreq[cls]:
+                            vdeficit -= 1
+                        vodd[cls] += 1
+                    enter, recheck = True, forest is not None
                     break
-        return best, best_allowed
-
-    def _leaf(self):
-        """The search of what is left once every vertex is labeled: none."""
-        return True
-
-    def _assign(self, count: int):
-        """The search of the vertices left once ``count`` are labeled."""
-        if count == self.g.n:
-            return self._leaf()
-        key = None
-        if self.exhausted:  # a search that never fails builds no key
-            key = self._state_key()
-            if self._replayed(key):
-                return False
-        v, allowed = self._pick_vertex(count)
-        if not allowed:
-            return False
-        return self._try_vertex(count, v, allowed, key)
-
-    def _try_vertex(self, count: int, v: int, allowed: int, key):
-        """The step that tries v's values; ``key`` is None if not built."""
-        free, blocked, vlab = self.free, self.blocked, self.vlab
-        if self.cfg.symmetry_breaking:  # vertex 0 takes the smallest label
-            if v == 0:
-                used = ((2 << self.limit) - 2) & ~free  # the labels placed so far
-                if used:
-                    allowed &= ((used & -used) << 1) - 1
-            elif vlab[0]:
-                allowed &= -(1 << vlab[0])
-        start = self.nodes
-        odd_fails = self.odd_values_fail(v)
-        # a value that empties the domain of an unlabeled neighbor leaves that
-        # neighbor nothing to take, so it is refused here before place_vertex
-        # rewrites the neighbors' masks
-        domains = [free & ~blocked[u] for u in self.adjacency[v] if not vlab[u]]
-        conflict = self.conflict
-        seeded = None if self.order is None else self.seeded(allowed)
-        while allowed:
-            val = (allowed & -allowed).bit_length() - 1 if seeded is None else next(seeded)
-            allowed ^= 1 << val
-            self.spend()
-            if val & 1 and odd_fails:
-                continue
-            keep = ~(conflict[val] | 1 << val)
-            if not all(map(keep.__and__, domains)):
-                continue
-            self.place_vertex(v, val)
-            if (
-                self.forest is None or self._even_placement_ok(self.g.n - count - 1)
-            ) and (yield self._assign(count + 1)):
-                return True
-            self.unplace_vertex(v, val)
-        if self.nodes > start:
-            # every placement is undone, so the state is the one at entry
-            self._store(self._state_key() if key is None else key, self.nodes - start)
-        return False
+                else:
+                    # every value is tried and undone: the state at entry
+                    if nodes > start:
+                        if key is None:
+                            key = self._edge_key(j, free) if j >= 0 else self._state_key(free)
+                        self._store(key, nodes - start)
+                    if j > 0:
+                        j, ei, eu, ev, allowed, val, key, start, entry, after, seeded, old_u, old_v = (
+                            stack.pop()
+                        )
+                    elif not count:
+                        return False
+                    else:
+                        v, allowed, val, key, start, odd_fails, domains, seeded, entry_frontier = (
+                            stack.pop()
+                        )
+                        j = -1
+                    undo = True
+        finally:
+            self.free, self.nodes, self.vdeficit = free, nodes, vdeficit
+            self.frontier, self.forest_count = frontier, forest_count
 
     def labeling(self) -> Labeling:
         return Labeling(list(self.vlab), {})
@@ -636,10 +764,10 @@ def _odd_edge_need(uncovered: list[int], pairs: list[int]) -> int:
 class _TotalEngine(_VertexEngine):
     """Bijective labeling of vertices and edges onto 1..n+m.
 
-    The vertex engine labels the vertices in ``vorder``, with the odd edge
-    labels still required counted in ``need``; its leaf labels the edges in
-    ``eorder``, grouped by that vertex order so each vertex's incident set
-    completes early.
+    The search labels the vertices in ``vorder``, with the odd edge labels
+    still required counted in ``need``, and then the edges in ``eorder``,
+    grouped by that vertex order so each vertex's incident set completes
+    early.
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig):
@@ -657,7 +785,7 @@ class _TotalEngine(_VertexEngine):
         self.elab = [0] * g.m
         # the gcd of the labels on each vertex's labeled edges (0 while none)
         self.egcd = [0] * g.n
-        degrees = list(map(len, self.adjacency))
+        degrees = list(map(len, g.adjacency))
         internal = [d >= 2 for d in degrees]
         # bit v of open_masks[j] is set when v has degree >= 2 and an edge in
         # eorder[j:]: the vertices whose incident gcd the edge phase reads
@@ -712,80 +840,19 @@ class _TotalEngine(_VertexEngine):
             pairs.append(p)
         return uncovered, pairs, _odd_edge_need(uncovered, pairs)
 
-    def _pick_vertex(self, count: int) -> tuple[int, int]:
-        v = self.vorder[count]
-        return v, self.free & ~self.blocked[v]
-
-    def _leaf(self):
-        return self._assign_edge(0)
-
-    def _edge_key(self, j: int) -> bytes:
-        """The key of the edge phase's state before edge ``eorder[j]``; the
-        module docstring says why it fixes all that the phase reads."""
+    def _edge_key(self, j: int, free: int) -> bytes:
+        """The key of the edge phase's state before edge ``eorder[j]``, with
+        ``free`` unused; the module docstring says why it fixes all that the
+        phase reads."""
         size = self.field_bytes
         egcd = self.egcd
-        parts = [self.free.to_bytes(size, "little")]
+        parts = [free.to_bytes(size, "little")]
         open_mask = self.open_masks[j]
         while open_mask:
             low = open_mask & -open_mask
             parts.append(egcd[low.bit_length() - 1].to_bytes(size, "little"))
             open_mask ^= low
         return b"".join(parts)
-
-    def _assign_edge(self, j: int):
-        """The search of edges ``eorder[j:]``."""
-        if j == len(self.eorder):
-            return True
-        key = None
-        if self.exhausted:
-            key = self._edge_key(j)
-            if self._replayed(key):
-                return False
-        return self._try_edge(j, key)
-
-    def _try_edge(self, j: int, key):
-        """The step that tries the values of edge ``eorder[j]``."""
-        start = self.nodes
-        ei = self.eorder[j]
-        u, v = self.g.edges[ei]
-        elab = self.elab
-        egcd = self.egcd
-        # the last edge at a vertex of degree >= 2 must be coprime to the gcd
-        # of the labels already on its other edges; edge j is the last of
-        # the vertices that drop out of the open set after it
-        allowed = self.free
-        closing = self.open_masks[j] & ~self.open_masks[j + 1]
-        if closing >> u & 1:
-            allowed &= ~self.conflict[egcd[u]]
-        if closing >> v & 1:
-            allowed &= ~self.conflict[egcd[v]]
-        # the cover state at entry, and after an even and an odd label (each
-        # made when a label of that parity is first tried)
-        entry = self.uncovered, self.pairs, self.need
-        after = [None, None]
-        seeded = None if self.order is None else self.seeded(allowed)
-        while allowed:
-            val = (allowed & -allowed).bit_length() - 1 if seeded is None else next(seeded)
-            allowed ^= 1 << val
-            self.spend()
-            self.free ^= 1 << val
-            elab[ei] = val
-            odd = val & 1
-            if after[odd] is None:
-                after[odd] = self._cover_after(j, u, v, odd)
-            self.uncovered, self.pairs, self.need = after[odd]
-            old_u, old_v = egcd[u], egcd[v]
-            egcd[u] = gcd(old_u, val)
-            egcd[v] = gcd(old_v, val)
-            if self.feasible() and (yield self._assign_edge(j + 1)):
-                return True
-            egcd[u], egcd[v] = old_u, old_v
-            self.uncovered, self.pairs, self.need = entry
-            elab[ei] = 0
-            self.free ^= 1 << val
-        if self.nodes > start:
-            self._store(self._edge_key(j) if key is None else key, self.nodes - start)
-        return False
 
     def labeling(self) -> Labeling:
         return Labeling(
@@ -794,30 +861,9 @@ class _TotalEngine(_VertexEngine):
         )
 
 
-def _drive(search) -> bool:
-    """Run a search (True, False or a step; see the module docstring) to its
-    end, each step waiting, suspended, while its sub-searches run."""
-    suspended = []
-    while True:
-        if search.__class__ is bool:
-            result = search
-        else:
-            suspended.append(search)
-            result = None
-        while suspended:
-            try:
-                search = suspended[-1].send(result)
-                break
-            except StopIteration as done:
-                suspended.pop()
-                result = done.value
-        else:
-            return result
-
-
 def _run(engine) -> SearchOutcome:
     try:
-        found = engine.feasible() and _drive(engine._assign(0))
+        found = engine.feasible() and engine.search()
     except _OutOfBudget:
         return SearchOutcome(
             BUDGET_EXCEEDED, None, engine.nodes, time.perf_counter() - engine.started

@@ -127,6 +127,12 @@ class TestGraphBasics:
         with pytest.raises(InvalidParameterError, match=named):
             Graph.from_json_dict({"n": 3, "edges": [[0, 1]], "roles": roles})
 
+    @pytest.mark.parametrize("roles", [[], 0, "", False, [("a", 1)]])
+    def test_roles_that_are_not_a_dict_rejected(self, roles):
+        # none of them counts as no roles
+        with pytest.raises(InvalidParameterError, match="field 'roles' is not an object"):
+            Graph(3, [], roles)
+
     def test_missing_or_null_roles_are_none(self):
         assert Graph.from_json_dict({"n": 3, "edges": []}).roles == {}
         assert Graph.from_json_dict({"n": 3, "edges": [], "roles": None}).roles == {}
@@ -508,6 +514,33 @@ class TestCanonicalHamiltonian:
         g = build_family(spec("complete", n=5))
         with pytest.raises(InvalidHamiltonianDataError):
             validate_hamiltonian(g, HamiltonianData((0, 1, 2, 3, 4), (1, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: build_family(spec("tree", n=3, edges=())), MalformedTreeError,
+         "a tree without edges must have one vertex"),
+        (lambda: build_family(spec("union", members=())), InvalidParameterError,
+         "union needs at least one member"),
+        (lambda: cartesian_product(Graph(0, []), build_family(spec("path", n=2))),
+         InvalidParameterError, "product factors must be nonempty"),
+        (lambda: disjoint_union([]), InvalidParameterError, "union of nothing"),
+        (lambda: validate_hamiltonian(
+            build_family(spec("cycle", n=4)), HamiltonianData((0, 1, 2, 3), (0, 2))),
+         InvalidHamiltonianDataError, re.escape("chord (0, 2) is not an edge")),
+        (lambda: canonical_hamiltonian(build_family(spec("complete", n=3)), spec("complete", n=3)),
+         NoCanonicalCycleError, "complete graphs below order 4 have no chord"),
+        (lambda: canonical_hamiltonian(
+            build_family(spec("path_power", n=5, k=1)), spec("path_power", n=5, k=1)),
+         NoCanonicalCycleError, "plain paths have no Hamiltonian cycle"),
+    ],
+    ids=["edgeless tree", "empty union", "empty factor", "union of nothing",
+         "chord not an edge", "K3 cycle", "plain path cycle"],
+)
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestDot:

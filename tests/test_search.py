@@ -192,6 +192,10 @@ class TestMinimumCoprime:
         with pytest.raises(NotFoundWithinBoundError):
             minimum_coprime_number(g, 4)
 
+    def test_bound_below_order_rejected(self):
+        with pytest.raises(InvalidParameterError, match="k_max below vertex count"):
+            minimum_coprime_number(complete(4), 3)
+
     def test_budget_exceeded_status(self):
         g = build_family(FamilySpec("stacked_prism", m=3, n=3))
         res = minimum_coprime_number(g, 20, SearchConfig(node_budget=3))
@@ -289,6 +293,12 @@ class TestDoubledUnion:
     def test_rejects_short_cycles(self):
         with pytest.raises(InvalidParameterError):
             doubled_union_reduction([3, 2])
+
+    @pytest.mark.parametrize("lengths", [[], [4, 2]])
+    def test_transport_rejects_short_cycles(self, lengths):
+        labeling = find_total_prime(cycle(4)).labeling
+        with pytest.raises(InvalidParameterError, match="cycle lengths must all be at least 3"):
+            doubled_union_prime_transport(lengths, labeling)
 
 
 def test_nonexistence_census_script(capsys):
@@ -494,6 +504,15 @@ def test_searches_run_on_an_explicit_stack():
     assert_total_prime(cycle(2_500), out.labeling, "cycle 2500")
 
 
+def test_long_path_costs_one_node_a_label():
+    # the pick reads the touched vertices only and the forest rule keeps its
+    # count, so a node's cost does not grow with the path
+    path = build_family(FamilySpec("path", n=5_000))
+    out = find_prime(path)
+    assert (out.status, out.nodes_explored) == (FOUND, 5_000)
+    assert verify_prime(path, out.labeling).valid
+
+
 def test_deep_prime_search_stays_small():
     # a search step holds no list of its domain, so memory grows with n, not
     # with n times the label limit
@@ -584,12 +603,13 @@ def test_vertex_order_matches_the_sweep(spec):
     assert search._vertex_order(g) == _sweep_order(g)
 
 
-# place_vertex calls of three searches.  A value that fails a check already
-# decided before placement (the odd-label count, an emptied neighbor domain)
-# is refused without being placed, and a vertex-engine state whose subtree
-# was already searched to exhaustion is replayed from the table without
-# placing anything, so a change that places them again shows here as a
-# higher count, with the node counts unchanged.
+# Placements of three searches, counted as the nonzero writes to the vertex
+# labels.  A value that fails a check already decided before placement (the
+# odd-label count, an emptied neighbor domain) is refused without being
+# placed, and a vertex-engine state whose subtree was already searched to
+# exhaustion is replayed from the table without placing anything, so a change
+# that places them again shows here as a higher count, with the node counts
+# unchanged.
 PLACEMENT_PINS = [
     pytest.param(
         lambda: find_prime(grid(5, 5), SearchConfig(node_budget=10_000)),
@@ -606,16 +626,39 @@ PLACEMENT_PINS = [
 ]
 
 
+class _WatchedLabels(list):
+    """An engine's vertex labels, calling ``write(v, label)`` before each
+    write, while the state is still the one the write changes."""
+
+    def __init__(self, labels, write):
+        super().__init__(labels)
+        self.write = write
+
+    def __setitem__(self, v, label):
+        self.write(v, label)
+        super().__setitem__(v, label)
+
+
+def _watch_labels(patch, write):
+    """Make every engine built under ``patch`` call ``write(engine, v,
+    label)`` before each write to its vertex labels; the engines built are
+    listed in the list returned."""
+    init = search._VertexEngine.__init__
+    made = []
+
+    def watched_init(engine, *args):
+        init(engine, *args)
+        engine.vlab = _WatchedLabels(engine.vlab, lambda v, label: write(engine, v, label))
+        made.append(engine)
+
+    patch.setattr(search._VertexEngine, "__init__", watched_init)
+    return made
+
+
 @pytest.mark.parametrize("call, placements", PLACEMENT_PINS)
 def test_placement_pins(monkeypatch, call, placements):
     placed = []
-    place_vertex = search._VertexEngine.place_vertex
-
-    def counted(engine, v, val):
-        placed.append(v)
-        place_vertex(engine, v, val)
-
-    monkeypatch.setattr(search._VertexEngine, "place_vertex", counted)
+    _watch_labels(monkeypatch, lambda engine, v, label: label and placed.append(v))
     call()
     assert len(placed) == placements
 
@@ -683,6 +726,57 @@ def _vertex_outcome(call):
     return out.status, out.nodes_explored, getattr(out, "value", None), labeling
 
 
+class _WatchedTable(dict):
+    """A table of exhausted states that the search looks up at every state it
+    enters, even while the table is empty, calling ``lookup(key)`` at each
+    lookup; unless ``stores``, it stores nothing, so nothing is replayed."""
+
+    def __init__(self, lookup, stores):
+        super().__init__()
+        self.lookup, self.stores = lookup, stores
+
+    def __bool__(self):
+        return True
+
+    def get(self, key, default=None):
+        self.lookup(key)
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        if self.stores:
+            super().__setitem__(key, value)
+
+
+def _watch_lookups(patch, lookup, stores=False):
+    """Make every engine built under ``patch`` look its table up at every
+    state the search enters, calling ``lookup(engine, key)`` there; the
+    state the lookup sees is the one the search goes on from.  A table that
+    stores turns over to a plain one once a generation is full."""
+    set_limit = search._VertexEngine.set_limit
+
+    def watched_set_limit(engine, limit):
+        set_limit(engine, limit)
+        engine.exhausted = _WatchedTable(lambda key: lookup(engine, key), stores)
+
+    patch.setattr(search._VertexEngine, "set_limit", watched_set_limit)
+
+
+def _free(engine):
+    """The labels unused, counted from the labels placed."""
+    used = {*engine.vlab, *getattr(engine, "elab", ())}
+    return sum(1 << x for x in range(1, engine.limit + 1) if x not in used)
+
+
+def _vertex_phase_reads(engine):
+    """Everything the vertex phase can read below its current state."""
+    g, vlab, free = engine.g, engine.vlab, _free(engine)
+    unlabeled = [v for v in range(g.n) if not vlab[v]]
+    even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
+    domains = [free & ~engine.blocked[v] for v in unlabeled]
+    odds_left = sum(free >> x & 1 for x in range(1, engine.limit + 1, 2))
+    return unlabeled, domains, even_nbr, list(engine.vodd), odds_left
+
+
 def _without_table(call):
     # set_limit makes the table, at set-up and between the bounds of an MCN call
     set_limit = search._VertexEngine.set_limit
@@ -745,16 +839,19 @@ def test_state_key_fixes_what_the_subtree_reads(case):
     g, limit, labeled, labels, reordered = case
 
     def reads(labels):
+        # the state placing the labels leaves: per unlabeled vertex, the
+        # union of its labeled neighbors' conflict masks, and per class, its
+        # count of odd labels
         engine = search._VertexEngine(g, SearchConfig(), limit)
-        for v, label in zip(labeled, labels):
-            engine.place_vertex(v, label)
         vlab = engine.vlab
-        unlabeled = [v for v in range(g.n) if not vlab[v]]
-        even_nbr = [any(vlab[u] and vlab[u] % 2 == 0 for u in g.adjacency[v]) for v in unlabeled]
-        domains = [engine.free & ~engine.blocked[v] for v in unlabeled]
-        odds_left = sum(engine.free >> x & 1 for x in range(1, limit + 1, 2))
-        state = (domains, even_nbr, engine.vodd, engine.vdeficit, odds_left)
-        return engine._state_key(), state
+        for v, label in zip(labeled, labels):
+            vlab[v] = label
+            engine.vodd[engine.vertex_class[v]] += label % 2
+        for v in range(g.n):
+            if not vlab[v]:
+                for u in g.adjacency[v]:
+                    engine.blocked[v] |= engine.conflict[vlab[u]]
+        return engine._state_key(_free(engine)), _vertex_phase_reads(engine)
 
     key, state = reads(labels)
     other_key, other_state = reads(reordered)
@@ -797,7 +894,7 @@ def _edge_phase_reads(engine):
     g = engine.g
     pending, odd_edge = _edge_counts(g, engine.elab)
     return (
-        engine.free,
+        _free(engine),
         engine.need,
         engine.uncovered,
         engine.pairs,
@@ -817,46 +914,44 @@ def _edge_phase_reads(engine):
 @given(small_graphs(max_labels=14), st.none() | st.integers(0, 99))
 @settings(max_examples=60, deadline=None)
 def test_edge_key_fixes_what_the_edge_phase_reads(g, seed):
-    # when two edge-phase states' keys agree, so must everything it reads;
-    # and no edge-phase key is the key of a vertex-phase state
+    # when two edge-phase states' keys agree, so must everything it reads,
+    # and likewise for vertex-phase states; and no edge-phase key is the key
+    # of a vertex-phase state.  The edge phase's states are those with every
+    # vertex labeled.
     seen = {}
-    vertex_keys = set()
-    assign, assign_edge = search._TotalEngine._assign, search._TotalEngine._assign_edge
+    vertex_seen = {}
 
-    def watched(engine, j):
-        if j < g.m:
+    def lookup(engine, key):
+        if all(engine.vlab):
             reads = _edge_phase_reads(engine)
-            assert seen.setdefault(engine._edge_key(j), reads) == reads
-        return assign_edge(engine, j)
-
-    def watched_vertex(engine, count):
-        if count < g.n:
-            vertex_keys.add(engine._state_key())
-        return assign(engine, count)
+            assert seen.setdefault(key, reads) == reads
+        else:
+            reads = _vertex_phase_reads(engine)
+            assert vertex_seen.setdefault(key, reads) == reads
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search._TotalEngine, "_assign_edge", watched)
-        patch.setattr(search._TotalEngine, "_assign", watched_vertex)
-        _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
-    assert not vertex_keys & seen.keys()
+        _watch_lookups(patch, lookup)
+        find_total_prime(g, SearchConfig(3_000, randomize=seed))
+    assert not vertex_seen.keys() & seen.keys()
 
 
 @example(cycle_union(4, 6), None)
 @given(small_graphs(max_labels=14), st.none() | st.integers(0, 99))
 @settings(max_examples=60, deadline=None)
 def test_cover_pools_match_a_recount(g, seed):
-    # at every edge-phase call, each pool's counts and ``need`` are those a
+    # at every edge-phase state, each pool's counts and ``need`` are those a
     # recount from the edge labels gives: a member is uncovered while none
     # of its labeled edges is odd, and a pair is an unlabeled edge joining
     # two uncovered members; the pools are the vertices of degree >= 2 and,
     # when that set differs, those of degree exactly 2
-    assign_edge = search._TotalEngine._assign_edge
     degrees = [g.degree(x) for x in range(g.n)]
     pools = [[d >= 2 for d in degrees]]
     if [d == 2 for d in degrees] != pools[0]:
         pools.append([d == 2 for d in degrees])
 
-    def watched(engine, j):
+    def lookup(engine, key):
+        if not all(engine.vlab):
+            return  # a vertex-phase state
         odd_edge = _edge_counts(g, engine.elab)[1]
         counts = []
         for member in pools:
@@ -868,11 +963,52 @@ def test_cover_pools_match_a_recount(g, seed):
             counts.append((sum(uncovered), pairs))
         assert list(zip(engine.uncovered, engine.pairs)) == counts
         assert engine.need == max(max((c + 1) // 2, c - p) for c, p in counts)
-        return assign_edge(engine, j)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search._TotalEngine, "_assign_edge", watched)
-        _without_table(lambda: find_total_prime(g, SearchConfig(3_000, randomize=seed)))
+        _watch_lookups(patch, lookup)
+        find_total_prime(g, SearchConfig(3_000, randomize=seed))
+
+
+def _full_scan_pick(engine):
+    """The pick the frontier pick replaced: the unlabeled vertex minimising
+    (domain size, -labeled neighbors, index), with its domain, stopping at
+    an empty domain."""
+    free = _free(engine)
+    best = None
+    for v in range(engine.g.n):
+        if engine.vlab[v]:
+            continue
+        domain = free & ~engine.blocked[v]
+        rank = (domain.bit_count(), -engine.labeled_nbrs[v])
+        if best is None or rank < best[0]:
+            best = rank, v, domain
+            if not domain:
+                break
+    return best[1:]
+
+
+@given(vertex_calls())
+@settings(max_examples=100, deadline=None)
+def test_frontier_pick_matches_a_full_scan(call):
+    # at every vertex-phase state the search enters, the full scan's pick is
+    # taken; the first label written after it, if it is a placement, goes to
+    # that vertex and lies in its domain (none does when the domain is empty)
+    picks = []
+
+    def lookup(engine, key):
+        if engine.vorder is None:
+            picks.append(_full_scan_pick(engine))
+
+    def write(engine, v, label):
+        if engine.vorder is None and picks[-1] is not None:
+            pick, picks[-1] = picks[-1], None
+            if label:
+                assert v == pick[0] and pick[1] >> label & 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        _watch_lookups(patch, lookup)
+        _watch_labels(patch, write)
+        _vertex_outcome(call)
 
 
 @given(vertex_calls())
@@ -890,20 +1026,17 @@ def test_table_keeps_budget_outcomes():
         assert _vertex_outcome(call(budget)) == _without_table(call(budget)), budget
 
 
-def test_edge_phase_replays(monkeypatch):
+def test_edge_phase_replays():
     # C4+C6 spends its budget in the edge phase under its first vertex
-    # labeling, which has no edge completion; without replays it makes
-    # 20,104 edge-phase calls
-    calls = []
-    assign_edge = search._TotalEngine._assign_edge
-
-    def counted(engine, j):
-        calls.append(j)
-        return assign_edge(engine, j)
-
-    monkeypatch.setattr(search._TotalEngine, "_assign_edge", counted)
-    out = find_total_prime(cycle_union(4, 6), SearchConfig(node_budget=30_000))
-    assert (out.status, out.nodes_explored, len(calls)) == (BUDGET_EXCEEDED, 30_001, 3_398)
+    # labeling, which has no edge completion: it enters 3,398 edge-phase
+    # states, and 20,104 without replays.  Its 3,391 stored states stay in
+    # the table's first generation.
+    for stores, entered in (True, 3_398), (False, 20_104):
+        states = []
+        with pytest.MonkeyPatch.context() as patch:
+            _watch_lookups(patch, lambda engine, key: all(engine.vlab) and states.append(key), stores)
+            out = find_total_prime(cycle_union(4, 6), SearchConfig(node_budget=30_000))
+        assert (out.status, out.nodes_explored, len(states)) == (BUDGET_EXCEEDED, 30_001, entered)
 
 
 @given(vertex_calls(), st.integers(1, 3))
@@ -918,16 +1051,15 @@ def test_capped_table_keeps_outcomes(call, cap):
 def test_table_stays_under_its_cap(monkeypatch):
     # K7 into 1..12 stores hundreds of exhausted states
     sizes = []
-    assign = search._VertexEngine._assign
+    store = search._VertexEngine._store
 
-    # a search step: the sizes are read once the sub-search has finished
-    def watched(engine, count):
-        found = yield assign(engine, count)
+    # the table changes only where a state is stored
+    def watched(engine, key, spent):
+        store(engine, key, spent)
         key_bytes = sum(map(len, engine.exhausted))
         sizes.append((len(engine.exhausted), len(engine.older), key_bytes))
-        return found
 
-    monkeypatch.setattr(search._VertexEngine, "_assign", watched)
+    monkeypatch.setattr(search._VertexEngine, "_store", watched)
     uncapped = _vertex_outcome(lambda: find_coprime(complete(7), 12))
     assert max(newer for newer, _, _ in sizes) > 6
     sizes.clear()
@@ -968,7 +1100,8 @@ def test_time_budget_trips_among_replays(monkeypatch):
 )
 def test_time_budget_trips_in_spend(monkeypatch, call):
     # the clock ticks once a read: at the start, then at nodes 1,024 and
-    # 2,048, where spend() finds the deadline passed; nothing is replayed
+    # 2,048, where the search's check at every 1,024th node finds the
+    # deadline passed; nothing is replayed
     clock = itertools.count()
     monkeypatch.setattr(search.time, "perf_counter", lambda: float(next(clock)))
     out = call(SearchConfig(time_budget=1.5))
@@ -979,8 +1112,8 @@ def test_time_budget_trips_in_spend(monkeypatch, call):
 def test_time_budget_trips_in_a_later_bound(monkeypatch):
     # with symmetry breaking, K7's bounds 7 to 11 exhaust in 2,094 nodes; the
     # clock counts its reads (the start, each replay, each 1,024th node), and
-    # the first read past 412.5 is spend()'s at node 3,072 of the call's one
-    # count, in bound 12
+    # the first read past 412.5 is the node check's at node 3,072 of the
+    # call's one count, in bound 12
     cfg = SearchConfig(symmetry_breaking=True)
     before = sum(find_coprime(complete(7), b, cfg).nodes_explored for b in range(7, 12))
     clock = itertools.count()
@@ -1013,7 +1146,7 @@ def marked_forests(draw):
 def test_forest_independent_set_is_maximum(case):
     # against every subset of the eligible vertices: unlabeled, bit 2 clear
     g, vlab, blocked = case
-    _, _, bottom_up, parent = search._component_requirements(g)
+    _, _, bottom_up, parent, _ = search._component_requirements(g)
     taken = search._forest_independent_set(bottom_up, parent, vlab, blocked)
     eligible = [v for v in range(g.n) if not vlab[v] and not blocked[v] & 4]
 
@@ -1026,6 +1159,46 @@ def test_forest_independent_set_is_maximum(case):
     )
 
 
+@st.composite
+def forest_calls(draw):
+    """A forest on at most 12 vertices, numbered at random, a label limit and
+    a value order."""
+    n = draw(st.integers(1, 12))
+    name = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        up = draw(st.integers(-1, v - 1))  # -1 starts a new tree
+        if up >= 0:
+            edges.append((name[up], name[v]))
+    return make_graph(n, edges), n + draw(st.integers(0, 3)), draw(st.none() | st.integers(0, 99))
+
+
+@given(forest_calls())
+@settings(max_examples=60, deadline=None)
+def test_kept_forest_count_matches_a_recount(case):
+    # before each write to the labels, after the placement or removal before
+    # it, the taken flags are the greedy set recounted from scratch; and a
+    # search stopped by each budget in turn writes its count back after each
+    # node, where it is the greedy set's size
+    g, limit, seed = case
+    _, _, bottom_up, parent, _ = search._component_requirements(g)
+
+    def greedy(engine):
+        return sorted(search._forest_independent_set(bottom_up, parent, engine.vlab, engine.blocked))
+
+    def write(engine, v, label):
+        taken = engine.forest[1]
+        assert [x for x in range(g.n) if taken[x]] == greedy(engine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        made = _watch_labels(patch, write)
+        cfg = SearchConfig(node_budget=300, randomize=seed)
+        nodes = find_coprime(g, limit, cfg).nodes_explored
+        for budget in range(1, min(nodes, 300) + 1):
+            find_coprime(g, limit, cfg._replace(node_budget=budget))
+            assert made[-1].forest_count == len(greedy(made[-1]))
+
+
 def test_tree_demands_match_branching():
     # trees of up to 30 vertices beside a 5-cycle, which keeps the branching
     rng = random.Random(5)
@@ -1034,7 +1207,7 @@ def test_tree_demands_match_branching():
             forest = random_forest(rng.randrange(10**6), n, rng.randint(1, 6))
             edges = forest.edges + tuple((forest.n + i, forest.n + (i + 1) % 5) for i in range(5))
             g = make_graph(forest.n + 5, edges)
-            reqs, comp_of, _, _ = search._component_requirements(g)
+            reqs, comp_of, _, _, _ = search._component_requirements(g)
             comps = g.components()
             assert [comp_of[comp[0]] for comp in comps] == list(range(len(comps)))
             assert reqs == [len(c) - search._independence_number(g, c) for c in comps]
