@@ -192,11 +192,16 @@ def verify_total_prime(g: Graph, labeling: Labeling) -> VerificationReport:
         incident[u] = gcd(incident[u], lab)
         incident[v] = gcd(incident[v], lab)
     if incident.count(1) < g.n:
-        adjacency = g.adjacency
+        # degrees counted off the edges: a pendant's gcd is its one edge
+        # label, so helms and bistars get here, and need no neighbour lists
+        degree = [0] * g.n
+        for u, v in g.edges:
+            degree[u] += 1
+            degree[v] += 1
         violations += [
             Violation(INCIDENT_SHARED_FACTOR, (v,), gcd=d)
             for v, d in enumerate(incident)
-            if d != 1 and len(adjacency[v]) >= 2
+            if d != 1 and degree[v] >= 2
         ]
     return VerificationReport.from_violations(violations)
 

@@ -188,9 +188,9 @@ class SearchConfig(_SearchConfigFields):
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
-        if cfg.node_budget <= 0:
-            raise InvalidParameterError("node budget must be positive")
         # written so that NaN, which compares False both ways, is refused
+        if not cfg.node_budget > 0:
+            raise InvalidParameterError("node budget must be positive")
         if cfg.time_budget is not None and not cfg.time_budget > 0:
             raise InvalidParameterError("time budget must be positive")
         return cfg
@@ -386,19 +386,24 @@ class _VertexEngine:
     A search call runs on one engine, so its node count and deadline span the
     call; ``minimum_coprime_number`` moves it between bounds with
     ``set_limit``, sound as an exhausted search has undone every placement.
-
-    CPython 3.11 keeps at most 29 attributes of an instance inline; a 30th
-    moves them all into a dict, which makes every attribute read slower and
-    the engine's set-up twice as slow, so this engine stays within 29 (the
-    total engine's edge phase takes it past them).
     """
 
-    vorder = None  # the total engine's fixed vertex order; None picks by domain
+    __slots__ = (
+        "started", "g", "cfg", "blocked", "labeled_nbrs", "vlab", "frontier",
+        "nodes", "deadline", "vreq", "vodd", "vdeficit", "vertex_class", "need",
+        "forest", "forest_count", "vorder",
+        # set by set_limit
+        "limit", "order", "conflict", "free", "odd_labels", "exhausted",
+        "older", "exhausted_bytes", "field_bytes", "labeled_field",
+        "unblocked_field",
+    )
 
     def __init__(self, g: Graph, cfg: SearchConfig, limit: int):
         self.started = time.perf_counter()
         self.g = g
         self.cfg = cfg
+        # the total engine's fixed vertex order; None picks by domain
+        self.vorder = None
         self.blocked = [0] * g.n
         self.labeled_nbrs = [0] * g.n
         self.vlab = [0] * g.n
@@ -769,6 +774,11 @@ class _TotalEngine(_VertexEngine):
     grouped by that vertex order so each vertex's incident set completes
     early.
     """
+
+    __slots__ = (
+        "eorder", "elab", "egcd", "open_masks", "edges_at", "pools", "uncovered",
+        "pairs",
+    )
 
     def __init__(self, g: Graph, cfg: SearchConfig):
         super().__init__(g, cfg, g.n + g.m)

@@ -92,6 +92,13 @@ class TestTotalPrime:
         report = verify_total_prime(g, Labeling([1, 3, 5], {(0, 1): 2, (1, 2): 4}))
         assert [v.vertices for v in report.violations] == [(1,)]
 
+    def test_pendant_gcds_read_no_neighbour_lists(self):
+        # a pendant's incident gcd is its one edge label, so these labelings
+        # take the degree check, which counts degrees off the edges
+        for result in (totalprime.helm(5), totalprime.bistar(2, 3)):
+            assert verify_total_prime(result.graph, result.labeling).valid
+            assert result.graph._adjacency is None
+
     def test_degree_zero_vertex_accepted(self):
         g = make_graph(3, [(0, 1)])
         report = verify_total_prime(g, Labeling([1, 2, 3], {(0, 1): 4}))

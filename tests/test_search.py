@@ -358,6 +358,12 @@ class TestSearchConfig:
             with pytest.raises(InvalidParameterError, match="time budget must be positive"):
                 make(time_budget=float("nan"))
 
+    def test_nan_node_budget_rejected(self):
+        # ``nodes > nan`` is never true, so the search would never stop on nodes
+        for _, make in _config_routes():
+            with pytest.raises(InvalidParameterError, match="node budget must be positive"):
+                make(node_budget=float("nan"))
+
     def test_config_is_an_immutable_value(self):
         cfg = SearchConfig(node_budget=50, randomize=3)
         with pytest.raises(AttributeError):
@@ -554,12 +560,19 @@ print(tracemalloc.get_traced_memory()[0])
     assert int(proc.stdout) < 128 << 10
 
 
-def test_vertex_engine_keeps_its_attributes_inline():
-    # CPython 3.11 moves an instance with a 30th attribute into a dict, which
-    # slows every attribute read of the engine (see _VertexEngine)
-    for family in ("path", "cycle"):  # with and without the forest rule
-        g = build_family(FamilySpec(family, n=5))
-        assert len(vars(search._VertexEngine(g, SearchConfig(), 5))) <= 29
+def test_engines_declare_their_state_in_slots():
+    # each engine's state is its __slots__: no instance dict, and a name
+    # that is not declared cannot be set
+    engines = [
+        search._VertexEngine(build_family(FamilySpec("path", n=5)), SearchConfig(), 5),
+        search._VertexEngine(cycle(5), SearchConfig(), 5),
+        search._TotalEngine(cycle(5), SearchConfig()),
+    ]
+    assert engines[0].forest is not None and engines[1].forest is None
+    for engine in engines:
+        assert not hasattr(engine, "__dict__")
+        with pytest.raises(AttributeError):
+            engine.undeclared = 0
 
 
 def test_empty_graph_is_decided_by_the_engines():
@@ -1050,33 +1063,46 @@ def test_capped_table_keeps_outcomes(call, cap):
 
 def test_table_stays_under_its_cap(monkeypatch):
     # K7 into 1..12 stores hundreds of exhausted states
-    sizes = []
+    sizes, stores = [], []
     store = search._VertexEngine._store
 
     # the table changes only where a state is stored
     def watched(engine, key, spent):
+        newer = engine.exhausted
+        held = sum(map(len, newer))
+        count = len(newer)
         store(engine, key, spent)
+        sizes.append((len(engine.exhausted), len(engine.older)))
+        # the key's length, the newer generation's entries and key bytes
+        # before the store, whether it turned over, and its key bytes after
         key_bytes = sum(map(len, engine.exhausted))
-        sizes.append((len(engine.exhausted), len(engine.older), key_bytes))
+        stores.append((len(key), count, held, engine.older is newer, key_bytes))
 
     monkeypatch.setattr(search._VertexEngine, "_store", watched)
     uncapped = _vertex_outcome(lambda: find_coprime(complete(7), 12))
-    assert max(newer for newer, _, _ in sizes) > 6
+    assert max(newer for newer, _ in sizes) > 6
+    first, second = stores[0][0], stores[1][0]
+    assert max(length for length, *_ in stores) <= first + second
     sizes.clear()
     monkeypatch.setattr(search, "_GENERATION_CAP", 3)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
     # each generation fills to the cap, and the older one turns over
-    assert max(newer for newer, _, _ in sizes) == 3
-    assert max(newer + older for newer, older, _ in sizes) == 6
-    sizes.clear()
+    assert max(newer for newer, _ in sizes) == 3
+    assert max(newer + older for newer, older in sizes) == 6
+    stores.clear()
     monkeypatch.setattr(search, "_GENERATION_CAP", 8_192)
-    # a key of K7 into 1..12 is 9 fields of 2 bytes: free, the odd count of
-    # its one class and the 7 vertices; a generation holds 3 such keys
-    monkeypatch.setattr(search, "_GENERATION_BYTES", 3 * 18)
+    # whatever a key holds, the first two keys stored fill a generation
+    # exactly, and the bytes, not the entries, turn the generations over
+    byte_cap = first + second
+    monkeypatch.setattr(search, "_GENERATION_BYTES", byte_cap)
     assert _vertex_outcome(lambda: find_coprime(complete(7), 12)) == uncapped
-    assert max(key_bytes for _, _, key_bytes in sizes) == 3 * 18
-    assert max(newer for newer, _, _ in sizes) == 3
-    assert max(older for _, older, _ in sizes) == 3
+    for length, count, held, turned, key_bytes in stores:
+        assert turned == (count >= search._GENERATION_CAP or held + length > byte_cap)
+        assert key_bytes <= byte_cap
+    assert sum(turned for _, _, _, turned, _ in stores) >= 3
+    # the second key fills the generation to the byte, and joins the first
+    length, _, held, turned, _ = stores[1]
+    assert held + length == byte_cap and not turned
 
 
 def test_time_budget_trips_among_replays(monkeypatch):
